@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from typing import Iterator
 
 from .coding import (
     MAX_TABLE_ENTRIES,
     CodingParams,
     PermutationTable,
-    iter_codes,
+    code_array,
+    first_collision,
 )
-from .errors import EnumerationBoundExceeded
 
 
 @dataclass(frozen=True)
@@ -34,36 +36,49 @@ class CycleReport:
     order: int
 
 
+class ScatterPoints:
+    """Read-only view of the (x', code) pairs over a code array."""
+
+    __slots__ = ("_codes",)
+
+    def __init__(self, codes: array) -> None:
+        self._codes = codes
+
+    def __len__(self) -> int:
+        return len(self._codes)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return enumerate(self._codes)
+
+    def __getitem__(self, xp: int) -> tuple[int, int]:
+        xp = range(len(self._codes))[xp]
+        return xp, self._codes[xp]
+
+
 @dataclass(frozen=True)
 class ScatterData:
-    """All (x', encode(x')) pairs, ready for plotting or CSV export."""
+    """All (x', encode(x')) pairs, ready for plotting or CSV export.
+
+    codes[x'] is the code of x'; points presents the same data as pairs.
+    """
 
     params: CodingParams
-    points: tuple[tuple[int, int], ...]
+    codes: array
+
+    @property
+    def points(self) -> ScatterPoints:
+        return ScatterPoints(self.codes)
 
 
 def audit_bijectivity(
     params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES
 ) -> AuditResult:
-    """Scan every output once and report the first duplicate, if any.
+    """Enumerate every output and report the first duplicate, if any.
 
-    Memory is one byte per block value. On a duplicate the earlier preimage
-    is found by rescanning the prefix; that path never runs for a correct
-    implementation, so it is kept simple rather than fast.
+    Memory is the code array plus one byte per block value for the scan.
     """
-    size = params.size()
-    if size > max_entries:
-        raise EnumerationBoundExceeded(
-            f"audit would enumerate {size} entries; bound is {max_entries}"
-        )
-    seen = bytearray(size)
-    for x, z in enumerate(iter_codes(params)):
-        if seen[z]:
-            for y, zz in enumerate(iter_codes(params)):
-                if zz == z:
-                    return AuditResult(params, ok=False, collision=(y, x))
-        seen[z] = 1
-    return AuditResult(params, ok=True)
+    collision = first_collision(code_array(params, max_entries))
+    return AuditResult(params, ok=collision is None, collision=collision)
 
 
 def cycle_structure(table: PermutationTable) -> CycleReport:
@@ -98,11 +113,5 @@ def cycle_structure(table: PermutationTable) -> CycleReport:
 def export_scatter(
     params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES
 ) -> ScatterData:
-    """Materialize every (x', code) pair for plotting."""
-    size = params.size()
-    if size > max_entries:
-        raise EnumerationBoundExceeded(
-            f"scatter would enumerate {size} entries; bound is {max_entries}"
-        )
-    points = tuple((x, z) for x, z in enumerate(iter_codes(params)))
-    return ScatterData(params=params, points=points)
+    """Enumerate every code once for plotting."""
+    return ScatterData(params=params, codes=code_array(params, max_entries))

@@ -9,6 +9,7 @@ this module computes, inverts, or factors that permutation.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -88,10 +89,14 @@ class CodingParams:
 
 @dataclass(frozen=True)
 class PermutationTable:
-    """Exhaustive image of one block permutation; image[x'] = encode(x')."""
+    """Exhaustive image of one block permutation; image[x'] = encode(x').
+
+    image is an array of the smallest unsigned typecode that holds every
+    block value; callers must not mutate it.
+    """
 
     params: CodingParams
-    image: tuple[int, ...]
+    image: array
 
     def __len__(self) -> int:
         return len(self.image)
@@ -99,11 +104,11 @@ class PermutationTable:
     def apply(self, xp: int) -> int:
         return self.image[xp]
 
-    def inverse_image(self) -> tuple[int, ...]:
-        inv = [0] * len(self.image)
+    def inverse_image(self) -> array:
+        inv = array(self.image.typecode, [0]) * len(self.image)
         for x, z in enumerate(self.image):
             inv[z] = x
-        return tuple(inv)
+        return inv
 
 
 def shift(power: PowerSpec, base: PrimeBase) -> int:
@@ -121,6 +126,16 @@ def extended_shift(params: CodingParams) -> int:
     return params.power.n * params.j + shift(params.power, params.p)
 
 
+def _window_moduli(params: CodingParams) -> tuple[int, int]:
+    """(p**a, p**(a+l)) for the base shift a.
+
+    No digit of the power at or above a + l reaches the window, so every
+    power is reduced modulo p**(a+l) and the window is its quotient by p**a.
+    """
+    pa = params.p.p ** shift(params.power, params.p)
+    return pa, pa * params.size()
+
+
 def encode(params: CodingParams, xp: int) -> int:
     """Window digits of x**n, where x = p**j * (p*xp + r).
 
@@ -130,9 +145,8 @@ def encode(params: CodingParams, xp: int) -> int:
     """
     if not 0 <= xp < params.size():
         raise DomainError(f"x' must lie in [0, {params.size()}); got {xp}")
-    p = params.p.p
-    a = shift(params.power, params.p)
-    return ((p * xp + params.r) ** params.power.n // p**a) % params.size()
+    pa, modulus = _window_moduli(params)
+    return pow(params.p.p * xp + params.r, params.power.n, modulus) // pa
 
 
 def reconstruct(params: CodingParams, xp: int) -> int:
@@ -144,15 +158,48 @@ def reconstruct(params: CodingParams, xp: int) -> int:
 
 
 def iter_codes(params: CodingParams) -> Iterator[int]:
-    """Yield encode(x') for x' = 0, 1, ..., p**l - 1 with constants hoisted."""
-    p = params.p.p
-    n = params.power.n
-    pa = p ** shift(params.power, params.p)
-    pl = params.size()
-    x = params.r
-    for _ in range(pl):
-        yield (x**n // pa) % pl
-        x += p
+    """Yield encode(x') for x' = 0, 1, ..., p**l - 1, one reduced power each."""
+    p, n, r = params.p.p, params.power.n, params.r
+    pa, modulus = _window_moduli(params)
+    return (pow(x, n, modulus) // pa for x in range(r, r + p * params.size(), p))
+
+
+def code_array(params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES) -> array:
+    """Every code of the block in x' order, in the smallest array that holds them.
+
+    This is the one full enumeration behind tables, audits and scatter data.
+    Raises EnumerationBoundExceeded when p**l > max_entries.
+    """
+    size = params.size()
+    if size > max_entries:
+        raise EnumerationBoundExceeded(
+            f"enumeration would need {size} entries; bound is {max_entries}"
+        )
+    typecode = next(
+        (c for c in "BHILQ" if size <= 1 << 8 * array(c).itemsize), "Q"
+    )
+    return array(typecode, iter_codes(params))
+
+
+def first_collision(codes: array) -> tuple[int, int] | None:
+    """The first pair (y, x), y < x, with codes[y] == codes[x], or None.
+
+    Uses one byte per block value; codes must lie in [0, len(codes)). The
+    first pass only marks codes, since they are distinct exactly when every
+    value gets marked; the slower pass that locates the pair runs only when
+    a code repeats.
+    """
+    seen = bytearray(len(codes))
+    for z in codes:
+        seen[z] = 1
+    if seen.find(0) < 0:
+        return None
+    seen = bytearray(len(codes))
+    for x, z in enumerate(codes):
+        if seen[z]:
+            return codes.index(z), x
+        seen[z] = 1
+    return None
 
 
 def permutation_table(
@@ -164,20 +211,13 @@ def permutation_table(
     InternalBijectivityViolation if a duplicate output ever appears (which
     would be an implementation bug, not a usage error).
     """
-    size = params.size()
-    if size > max_entries:
-        raise EnumerationBoundExceeded(
-            f"table would need {size} entries; bound is {max_entries}"
+    image = code_array(params, max_entries)
+    collision = first_collision(image)
+    if collision is not None:
+        raise InternalBijectivityViolation(
+            f"duplicate output {image[collision[1]]} for params {params}"
         )
-    image = list(iter_codes(params))
-    seen = bytearray(size)
-    for z in image:
-        if seen[z]:
-            raise InternalBijectivityViolation(
-                f"duplicate output {z} for params {params}"
-            )
-        seen[z] = 1
-    return PermutationTable(params=params, image=tuple(image))
+    return PermutationTable(params=params, image=image)
 
 
 def decode_exponent(params: CodingParams) -> int:
@@ -203,12 +243,11 @@ def decode_exponent(params: CodingParams) -> int:
     return pow(pw.q, -1, modulus)
 
 
-def _low_window_value(params: CodingParams, code: int, digits: int) -> int:
-    # x_u**n agrees with r**n on every digit below the shift, so the known
-    # part of x_u**n mod p**(shift+digits) is r**n's tail plus the code.
-    p = params.p.p
-    a = shift(params.power, params.p)
-    return pow(params.r, params.power.n, p**a) + p**a * (code % p**digits)
+def _low_window_value(params: CodingParams, code: int) -> int:
+    # x_u**n agrees with r**n on every digit below the shift, so x_u**n mod
+    # p**(shift+l) is r**n's tail plus the code placed at the shift.
+    pa, _ = _window_moduli(params)
+    return pow(params.r, params.power.n, pa) + pa * code
 
 
 def _decode_unit_exponent(params: CodingParams, code: int) -> int:
@@ -217,7 +256,7 @@ def _decode_unit_exponent(params: CodingParams, code: int) -> int:
     p = params.p.p
     n = params.power.n
     big = p ** (params.l + 1)
-    w = _low_window_value(params, code, params.l)
+    w = _low_window_value(params, code)
     v = w * pow(pow(params.r, n, big), -1, big) % big
     xu = params.r * pow(v, decode_exponent(params), big) % big
     if xu % p != params.r:
@@ -233,7 +272,7 @@ def _decode_lift(params: CodingParams, code: int) -> int:
     n = params.power.n
     a = shift(params.power, params.p)
     lag = 1 if p == 2 else 0
-    w = _low_window_value(params, code, params.l)
+    w = _low_window_value(params, code)
     cands = [params.r]
     for t in range(1, params.l + 1):
         modulus = p ** (a + max(0, t - lag))

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
 from powerperm import analysis
 from powerperm.analysis import audit_bijectivity, cycle_structure, export_scatter
-from powerperm.coding import CodingParams, permutation_table
+from powerperm.coding import CodingParams, encode, permutation_table
 from powerperm.errors import EnumerationBoundExceeded
 
 
@@ -29,10 +31,10 @@ def test_audit_reports_first_collision(monkeypatch):
     # force a defect: replay a sequence where value 5 appears at 2 and 6
     broken = [0, 3, 5, 1, 7, 2, 5, 4, 6]
 
-    def fake_iter(params):
-        return iter(broken)
+    def fake_codes(params, max_entries):
+        return array("B", broken)
 
-    monkeypatch.setattr(analysis, "iter_codes", fake_iter)
+    monkeypatch.setattr(analysis, "code_array", fake_codes)
     result = audit_bijectivity(CodingParams.make(p=3, n=3, l=2, r=1))
     assert not result.ok
     assert result.collision == (2, 6)
@@ -91,18 +93,28 @@ def test_order_annihilates_the_permutation():
 
 def test_scatter_matches_quadratic_closed_form():
     data = export_scatter(CodingParams.make(p=2, n=2, l=4, r=1))
-    assert data.points == tuple((x, x * (x + 1) // 2 % 16) for x in range(16))
+    assert tuple(data.points) == tuple((x, x * (x + 1) // 2 % 16) for x in range(16))
 
 
 def test_scatter_of_identity_is_diagonal():
     data = export_scatter(CodingParams.make(p=5, n=1, l=1, r=1))
-    assert data.points == tuple((x, x) for x in range(5))
+    assert tuple(data.points) == tuple((x, x) for x in range(5))
 
 
 def test_scatter_outputs_are_distinct():
     data = export_scatter(CodingParams.make(p=3, n=6, l=3, r=1))
     zs = [z for _, z in data.points]
     assert sorted(zs) == list(range(27))
+
+
+def test_scatter_points_index_as_pairs():
+    params = CodingParams.make(p=3, n=6, l=3, r=1)
+    points = export_scatter(params).points
+    assert len(points) == 27
+    assert points[5] == (5, encode(params, 5))
+    assert points[-1] == (26, encode(params, 26))
+    with pytest.raises(IndexError):
+        points[27]
 
 
 def test_scatter_respects_bound():

@@ -153,6 +153,20 @@ def test_encode_out_of_range_is_usage_error(capsys):
     assert err.startswith("error:")
 
 
+def test_encode_huge_exponent_finishes_quickly():
+    # only digits below alpha + l reach the window, so n = 10**7 costs one
+    # modular pow; n = 5**7 * 2**7 gives k = 7 and alpha = 1 + 7 + 1 = 9
+    proc = subprocess.run(
+        [sys.executable, "-m", "powerperm", "encode",
+         "--p", "2", "--n", "10000000", "--l", "64", "--r", "1", "--x", "5"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == f"{pow(11, 10**7, 2**73) // 2**9}\n"
+
+
 def test_rejects_composite_base(capsys):
     code, _, err = run(
         capsys, "encode", "--p", "9", "--n", "3", "--l", "2", "--r", "1",

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -194,17 +197,17 @@ def test_top_of_range_block():
 
 def test_table_example_r1():
     table = permutation_table(CodingParams.make(p=3, n=3, l=2, r=1))
-    assert table.image == (0, 7, 2, 3, 1, 5, 6, 4, 8)
+    assert tuple(table.image) == (0, 7, 2, 3, 1, 5, 6, 4, 8)
 
 
 def test_table_example_r2():
     table = permutation_table(CodingParams.make(p=3, n=3, l=2, r=2))
-    assert table.image == (0, 4, 2, 3, 7, 5, 6, 1, 8)
+    assert tuple(table.image) == (0, 4, 2, 3, 7, 5, 6, 1, 8)
 
 
 def test_table_identity_when_n_is_one():
     table = permutation_table(CodingParams.make(p=5, n=1, l=1, r=3))
-    assert table.image == (0, 1, 2, 3, 4)
+    assert tuple(table.image) == (0, 1, 2, 3, 4)
 
 
 def test_table_is_permutation_across_parameter_grid():
@@ -225,6 +228,31 @@ def test_table_inverse_round_trip():
         assert inv[table.apply(x)] == x
 
 
+def test_table_uses_smallest_typecode():
+    for l, typecode in ((8, "B"), (9, "H"), (16, "H"), (17, "I")):
+        table = permutation_table(CodingParams.make(p=2, n=3, l=l, r=1))
+        assert table.image.typecode == typecode
+        assert table.inverse_image().typecode == typecode
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_wide_table_stays_compact():
+    # 2**22 entries at 4 bytes each plus a 1-byte scan, where a tuple of
+    # Python ints needed about 211 MB. VmHWM is the child's own peak RSS in
+    # KiB; ru_maxrss would carry over the forking test process's peak.
+    code = (
+        "from powerperm.coding import CodingParams, permutation_table\n"
+        "permutation_table(CodingParams.make(p=2, n=3, l=22, r=1))\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+        "           if line.startswith('VmHWM:')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 50 * 1024
+
+
 def test_table_bound():
     with pytest.raises(EnumerationBoundExceeded):
         permutation_table(CodingParams.make(p=2, n=3, l=12, r=1), max_entries=1024)
@@ -239,6 +267,38 @@ def test_squaring_table_closed_form():
         image = list(iter_codes(CodingParams.make(p=2, n=2, l=l, r=1)))
         want = [x * (x + 1) // 2 % 2**l for x in range(2**l)]
         assert image == want
+
+
+# ------------------------------------------------------------ reduced power
+
+
+def full_power_code(p: int, n: int, l: int, r: int, j: int, xp: int) -> int:
+    # the unreduced formula: l digits of x**n at the paper's window start,
+    # with n = q * p**k split here rather than by the package
+    k = 0
+    while n % p ** (k + 1) == 0:
+        k += 1
+    alpha = 1 + k + (1 if p == 2 and k >= 1 else 0)
+    x = p**j * (p * xp + r)
+    return (x**n // p ** (alpha + n * j)) % p**l
+
+
+def test_reduced_power_matches_full_power_exhaustively():
+    checked = 0
+    for p in (2, 3, 5, 7):
+        for n in range(1, 11):
+            for r in range(1, p):
+                for j in (0, 1):
+                    l = 1
+                    while p**l <= 2**10:
+                        params = CodingParams.make(p=p, n=n, l=l, r=r, j=j)
+                        want = [full_power_code(p, n, l, r, j, xp) for xp in range(p**l)]
+                        assert list(iter_codes(params)) == want, (p, n, l, r, j)
+                        got = [encode(params, xp) for xp in range(p**l)]
+                        assert got == want, (p, n, l, r, j)
+                        checked += 1
+                        l += 1
+    assert checked == 20 * (10 + 2 * 6 + 4 * 4 + 6 * 3)
 
 
 def test_window_one_digit_earlier_is_not_bijective():
@@ -457,3 +517,21 @@ def test_window_oracle_property(data):
     assert encode(params, xp) == window_of_power(
         x, n, p, extended_shift(params), l
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_reduced_power_property_for_large_exponents(data):
+    p = data.draw(st.sampled_from((2, 3, 5, 7)))
+    k = data.draw(st.integers(0, 4))
+    n = data.draw(st.integers(1, 10**4 // p**k)) * p**k
+    l = data.draw(st.integers(1, 6))
+    r = data.draw(st.integers(1, p - 1))
+    j = data.draw(st.integers(0, 2))
+    params = CodingParams.make(p=p, n=n, l=l, r=r, j=j)
+    xp = data.draw(st.integers(0, params.size() - 1))
+    assert encode(params, xp) == full_power_code(p, n, l, r, j, xp)
+    head = min(params.size(), 8)
+    assert list(islice(iter_codes(params), head)) == [
+        full_power_code(p, n, l, r, j, x) for x in range(head)
+    ]

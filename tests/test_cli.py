@@ -44,6 +44,20 @@ def test_shift_json(capsys):
     assert payload == {"p": 2, "n": 12, "j": 0, "q": 3, "k": 2, "alpha": 4}
 
 
+def test_shift_with_j_csv_and_json(capsys):
+    # n = 6 at p = 3 has k = 1, so alpha = 2 + 6*2 = 14
+    code, out, _ = run(
+        capsys, "shift", "--p", "3", "--n", "6", "--j", "2", "--format", "csv"
+    )
+    assert code == 0
+    assert out == "p,n,j,q,k,alpha\n3,6,2,2,1,14\n"
+    code, out, _ = run(
+        capsys, "shift", "--p", "3", "--n", "6", "--j", "2", "--format", "json"
+    )
+    assert code == 0
+    assert out == '{"p": 3, "n": 6, "j": 2, "q": 2, "k": 1, "alpha": 14}\n'
+
+
 # -------------------------------------------------------------------- table
 
 
@@ -80,6 +94,18 @@ def test_table_json(capsys):
     payload = json.loads(out)
     assert payload["alpha"] == 2
     assert payload["image"] == [0, 7, 2, 3, 1, 5, 6, 4, 8]
+
+
+def test_table_json_alpha_includes_j(capsys):
+    code, out, _ = run(
+        capsys, "table", "--p", "3", "--n", "3", "--l", "2", "--r", "2",
+        "--j", "1", "--format", "json",
+    )
+    assert code == 0
+    assert out == (
+        '{"p": 3, "n": 3, "l": 2, "r": 2, "j": 1, "alpha": 5, '
+        '"image": [0, 4, 2, 3, 7, 5, 6, 1, 8]}\n'
+    )
 
 
 def test_table_out_file_matches_stdout(capsys, tmp_path):
@@ -142,6 +168,21 @@ def test_encode_decode_csv(capsys):
     )
     assert code == 0
     assert out == "code,x\n7,5\n"
+
+
+def test_encode_decode_json(capsys):
+    code, out, _ = run(
+        capsys, "encode", "--p", "3", "--n", "3", "--l", "2", "--r", "1",
+        "--j", "1", "--x", "4", "--format", "json",
+    )
+    assert code == 0
+    assert out == '{"p": 3, "n": 3, "l": 2, "r": 1, "j": 1, "x": 4, "z": 1}\n'
+    code, out, _ = run(
+        capsys, "decode", "--p", "3", "--n", "3", "--l", "2", "--r", "1",
+        "--j", "1", "--code", "1", "--format", "json",
+    )
+    assert code == 0
+    assert out == '{"p": 3, "n": 3, "l": 2, "r": 1, "j": 1, "code": 1, "x": 4}\n'
 
 
 def test_encode_out_of_range_is_usage_error(capsys):
@@ -243,6 +284,15 @@ def test_root_csv_empty_still_has_header(capsys):
     )
     assert code == 3
     assert out == "r,xprime,x,modulus\n"
+
+
+def test_root_csv_lists_every_candidate(capsys):
+    code, out, _ = run(
+        capsys, "root", "--p", "3", "--n", "2", "--l", "2", "--z", "625",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out == "r,xprime,x,modulus\n1,8,25,27\n2,0,2,27\n"
 
 
 def test_root_json(capsys):

@@ -39,80 +39,44 @@ from .coding import (
     shift,
 )
 from .errors import (
-    BottomExceedsTop,
-    DigitOutOfRange,
     DomainError,
     EnumerationBoundExceeded,
     InternalBijectivityViolation,
-    NotComposite,
-    NotPrime,
-    OracleBoundExceeded,
-    OutOfRange,
     PowerPermError,
-    UndefinedForZero,
-    UnsupportedSize,
-    ZeroModulus,
 )
-from .padic import (
-    DigitString,
-    PAdicDecomposition,
-    PrimeBase,
-    decompose,
-    from_digits,
-    pow_mod,
-    to_digits,
-    totient_prime_power,
-    validate_prime,
-    valuation,
-)
+from .padic import PrimeBase, totient_prime_power, valuation
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AuditResult",
-    "BottomExceedsTop",
     "CodingParams",
     "CycleReport",
     "DIRECT_BOUND",
-    "DigitOutOfRange",
-    "DigitString",
     "DomainError",
     "EnumerationBoundExceeded",
     "InternalBijectivityViolation",
-    "NotComposite",
-    "NotPrime",
-    "OracleBoundExceeded",
-    "OutOfRange",
-    "PAdicDecomposition",
     "PermutationTable",
     "PowerPermError",
     "PowerSpec",
     "PrimeBase",
     "ScatterData",
-    "UndefinedForZero",
-    "UnsupportedSize",
     "ValuationReport",
-    "ZeroModulus",
     "audit_bijectivity",
     "compose_decomposition",
     "cycle_structure",
     "decode",
     "decode_exponent",
-    "decompose",
     "encode",
     "encode_via_composition",
     "export_scatter",
     "extended_shift",
-    "from_digits",
     "iter_codes",
     "kummer_carries",
     "permutation_table",
-    "pow_mod",
     "reconstruct",
     "shift",
-    "to_digits",
     "totient_prime_power",
-    "validate_prime",
     "valuation",
     "valuation_direct",
     "valuation_legendre",

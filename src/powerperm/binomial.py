@@ -1,9 +1,9 @@
 """p-adic valuations of binomial coefficients via four independent routes.
 
-The routes deliberately share no code: a closed form for C(p**k, j), carry
-counting in base-p addition, Legendre's factorial formula, and a brute-force
-oracle that factors the exact coefficient. Agreement between them is part of
-the test contract.
+The routes share argument checks but deliberately no arithmetic: a closed
+form for C(p**k, j), carry counting in base-p addition, Legendre's factorial
+formula, and a brute-force oracle that factors the exact coefficient.
+Agreement between them is part of the test contract.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import BottomExceedsTop, OracleBoundExceeded, OutOfRange
+from .errors import DomainError
 from .padic import PrimeBase, valuation
 
 Method = Literal["lemma1", "kummer", "legendre", "direct"]
@@ -31,6 +31,13 @@ class ValuationReport:
     method: Method
 
 
+def _check_pair(top: int, bottom: int) -> None:
+    if bottom < 0:
+        raise DomainError("bottom must be non-negative")
+    if bottom > top:
+        raise DomainError(f"bottom {bottom} exceeds top {top}")
+
+
 def valuation_lemma1(base: PrimeBase, k: int, j: int) -> ValuationReport:
     """Valuation of C(p**k, j) for 0 < j < p**k.
 
@@ -38,10 +45,10 @@ def valuation_lemma1(base: PrimeBase, k: int, j: int) -> ValuationReport:
     power of p dividing C(p**k, j).
     """
     if k < 1:
-        raise OutOfRange("k must be >= 1")
+        raise DomainError("k must be >= 1")
     top = base.p**k
     if not 0 < j < top:
-        raise OutOfRange(f"j must lie strictly between 0 and p**k = {top}")
+        raise DomainError(f"j must lie strictly between 0 and p**k = {top}")
     h = valuation(j, base)
     return ValuationReport(base, top, j, k - h, "lemma1")
 
@@ -54,10 +61,7 @@ def kummer_carries(base: PrimeBase, top: int, bottom: int) -> ValuationReport:
     to p-1, so the count may exceed the number of positions where the top
     digit is smaller than the bottom digit.
     """
-    if bottom < 0:
-        raise OutOfRange("bottom must be non-negative")
-    if bottom > top:
-        raise BottomExceedsTop(f"bottom {bottom} exceeds top {top}")
+    _check_pair(top, bottom)
     p = base.p
     a, b = top - bottom, bottom
     carries = 0
@@ -76,10 +80,7 @@ def valuation_legendre(base: PrimeBase, top: int, bottom: int) -> ValuationRepor
     v_p(m!) = sum over i of floor(m / p**i), and the coefficient valuation is
     v_p(top!) - v_p(bottom!) - v_p((top-bottom)!).
     """
-    if bottom < 0:
-        raise OutOfRange("bottom must be non-negative")
-    if bottom > top:
-        raise BottomExceedsTop(f"bottom {bottom} exceeds top {top}")
+    _check_pair(top, bottom)
 
     def fact_val(m: int) -> int:
         total = 0
@@ -101,12 +102,9 @@ def valuation_direct(
     Guarded by a bound on top so tests cannot accidentally request a
     gigantic coefficient.
     """
-    if bottom < 0:
-        raise OutOfRange("bottom must be non-negative")
-    if bottom > top:
-        raise BottomExceedsTop(f"bottom {bottom} exceeds top {top}")
+    _check_pair(top, bottom)
     if top > bound:
-        raise OracleBoundExceeded(f"top {top} exceeds oracle bound {bound}")
+        raise DomainError(f"top {top} exceeds oracle bound {bound}")
     c = math.comb(top, bottom)
     val = 0
     while c % base.p == 0:

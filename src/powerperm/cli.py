@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, Iterable
 
 from . import analysis, binomial, coding
 from .errors import PowerPermError
@@ -20,18 +21,26 @@ _EXIT_USAGE = 2
 _EXIT_DOMAIN = 3
 
 
-def _emit(ns: argparse.Namespace, text: str) -> None:
+def _render(ns: argparse.Namespace, obj: dict, header: str,
+            rows: Iterable[Iterable], plain: Callable[[], str]) -> None:
+    """Write one result to --out or stdout in the format --format names.
+
+    obj is the JSON object (arrays are written as lists), header and rows
+    the CSV form, and plain builds the plain text, so that a large table is
+    turned into text only once, in the format asked for.
+    """
+    if ns.format == "json":
+        text = json.dumps(obj, separators=(", ", ": "), default=list)
+    elif ns.format == "csv":
+        text = "\n".join([header, *(",".join(map(str, row)) for row in rows)])
+    else:
+        text = plain()
     # One trailing newline, LF endings, no locale formatting.
-    out_path = getattr(ns, "out", None)
-    if out_path:
-        with open(out_path, "w", newline="\n") as fh:
+    if ns.out:
+        with open(ns.out, "w", newline="\n") as fh:
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
-
-
-def _json(obj) -> str:
-    return json.dumps(obj, separators=(", ", ": "))
 
 
 def _max_entries(ns: argparse.Namespace) -> int:
@@ -39,64 +48,42 @@ def _max_entries(ns: argparse.Namespace) -> int:
 
 
 def _coding_params(ns: argparse.Namespace) -> coding.CodingParams:
-    return coding.CodingParams.make(ns.p, ns.n, ns.l, ns.r, getattr(ns, "j", 0))
+    return coding.CodingParams.make(ns.p, ns.n, ns.l, ns.r, ns.j)
+
+
+def _coding_obj(ns: argparse.Namespace, **result) -> dict:
+    return {"p": ns.p, "n": ns.n, "l": ns.l, "r": ns.r, "j": ns.j, **result}
 
 
 def cmd_shift(ns: argparse.Namespace) -> int:
     base = PrimeBase(ns.p)
     power = coding.PowerSpec.from_power(ns.n, base)
     alpha = coding.shift(power, base) + power.n * ns.j
-    if ns.format == "json":
-        _emit(ns, _json({"p": ns.p, "n": ns.n, "j": ns.j,
-                         "q": power.q, "k": power.k, "alpha": alpha}))
-    elif ns.format == "csv":
-        _emit(ns, "p,n,j,q,k,alpha\n"
-              f"{ns.p},{ns.n},{ns.j},{power.q},{power.k},{alpha}")
-    elif ns.j:
-        _emit(ns, f"alpha'={alpha} (q={power.q}, k={power.k}, j={ns.j})")
-    else:
-        _emit(ns, f"alpha={alpha} (q={power.q}, k={power.k})")
+    obj = {"p": ns.p, "n": ns.n, "j": ns.j, "q": power.q, "k": power.k, "alpha": alpha}
+    _render(ns, obj, ",".join(obj), [obj.values()],
+            lambda: f"alpha'={alpha} (q={power.q}, k={power.k}, j={ns.j})" if ns.j
+            else f"alpha={alpha} (q={power.q}, k={power.k})")
     return _EXIT_OK
 
 
 def cmd_table(ns: argparse.Namespace) -> int:
     params = _coding_params(ns)
-    table = coding.permutation_table(params, _max_entries(ns))
-    if ns.format == "json":
-        _emit(ns, _json({"p": ns.p, "n": ns.n, "l": ns.l, "r": ns.r, "j": ns.j,
-                         "alpha": coding.extended_shift(params),
-                         "image": list(table.image)}))
-    elif ns.format == "csv":
-        rows = "\n".join(f"{x},{z}" for x, z in enumerate(table.image))
-        _emit(ns, "x,z\n" + rows)
-    else:
-        _emit(ns, " ".join(str(z) for z in table.image))
+    image = coding.permutation_table(params, _max_entries(ns)).image
+    _render(ns, _coding_obj(ns, alpha=coding.extended_shift(params), image=image),
+            "x,z", enumerate(image), lambda: " ".join(map(str, image)))
     return _EXIT_OK
 
 
 def cmd_encode(ns: argparse.Namespace) -> int:
-    params = _coding_params(ns)
-    z = coding.encode(params, ns.x)
-    if ns.format == "json":
-        _emit(ns, _json({"p": ns.p, "n": ns.n, "l": ns.l, "r": ns.r, "j": ns.j,
-                         "x": ns.x, "z": z}))
-    elif ns.format == "csv":
-        _emit(ns, f"x,z\n{ns.x},{z}")
-    else:
-        _emit(ns, str(z))
+    z = coding.encode(_coding_params(ns), ns.x)
+    _render(ns, _coding_obj(ns, x=ns.x, z=z), "x,z", [(ns.x, z)], lambda: str(z))
     return _EXIT_OK
 
 
 def cmd_decode(ns: argparse.Namespace) -> int:
-    params = _coding_params(ns)
-    x = coding.decode(params, ns.code, max_entries=_max_entries(ns))
-    if ns.format == "json":
-        _emit(ns, _json({"p": ns.p, "n": ns.n, "l": ns.l, "r": ns.r, "j": ns.j,
-                         "code": ns.code, "x": x}))
-    elif ns.format == "csv":
-        _emit(ns, f"code,x\n{ns.code},{x}")
-    else:
-        _emit(ns, str(x))
+    x = coding.decode(_coding_params(ns), ns.code, max_entries=_max_entries(ns))
+    _render(ns, _coding_obj(ns, code=ns.code, x=x), "code,x", [(ns.code, x)],
+            lambda: str(x))
     return _EXIT_OK
 
 
@@ -129,47 +116,33 @@ def _root_candidates(ns: argparse.Namespace) -> list[dict[str, int]]:
 
 def cmd_root(ns: argparse.Namespace) -> int:
     candidates = _root_candidates(ns)
-    if ns.format == "json":
-        _emit(ns, _json({"p": ns.p, "n": ns.n, "l": ns.l, "z": ns.z,
-                         "candidates": candidates}))
-    elif ns.format == "csv":
-        rows = "\n".join(f"{c['r']},{c['xprime']},{c['x']},{c['modulus']}"
-                         for c in candidates)
-        _emit(ns, "r,xprime,x,modulus" + ("\n" + rows if rows else ""))
-    elif candidates:
-        _emit(ns, "\n".join(
-            f"x = {c['x']} (mod {c['modulus']})  [x' = {c['xprime']}, r = {c['r']}]"
-            for c in candidates))
-    else:
-        _emit(ns, "no preimage")
+    _render(ns, {"p": ns.p, "n": ns.n, "l": ns.l, "z": ns.z, "candidates": candidates},
+            "r,xprime,x,modulus", [c.values() for c in candidates],
+            lambda: "\n".join(
+                f"x = {c['x']} (mod {c['modulus']})  [x' = {c['xprime']}, r = {c['r']}]"
+                for c in candidates) or "no preimage")
     return _EXIT_OK if candidates else _EXIT_DOMAIN
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
     base = PrimeBase(ns.p)
     power = coding.PowerSpec.from_power(ns.n, base)
-    results = []
+    rows = []
     for l in range(1, ns.lmax + 1):
         for r in range(1, ns.p):
             for j in (0, 1):
                 params = coding.CodingParams(p=base, power=power, l=l, r=r, j=j)
                 audit = analysis.audit_bijectivity(params, _max_entries(ns))
-                results.append((l, r, j, params.size(), audit.ok))
-    failures = sum(1 for rec in results if not rec[4])
-    if ns.format == "json":
-        _emit(ns, _json({"p": ns.p, "n": ns.n, "results": [
-            {"l": l, "r": r, "j": j, "size": size, "ok": ok}
-            for l, r, j, size, ok in results], "all_pass": failures == 0}))
-    elif ns.format == "csv":
-        rows = "\n".join(f"{l},{r},{j},{size},{'pass' if ok else 'FAIL'}"
-                         for l, r, j, size, ok in results)
-        _emit(ns, "l,r,j,size,status\n" + rows)
-    else:
-        lines = [f"l={l} r={r} j={j} size={size} {'pass' if ok else 'FAIL'}"
-                 for l, r, j, size, ok in results]
-        tail = (f"all pass ({len(results)} tables)" if failures == 0
-                else f"FAILURES: {failures} of {len(results)} tables")
-        _emit(ns, "\n".join(lines + [tail]))
+                rows.append((l, r, j, params.size(), "pass" if audit.ok else "FAIL"))
+    failures = sum(1 for row in rows if row[4] == "FAIL")
+    tail = (f"all pass ({len(rows)} tables)" if failures == 0
+            else f"FAILURES: {failures} of {len(rows)} tables")
+    _render(ns, {"p": ns.p, "n": ns.n, "results": [
+                {"l": l, "r": r, "j": j, "size": size, "ok": status == "pass"}
+                for l, r, j, size, status in rows], "all_pass": failures == 0},
+            "l,r,j,size,status", rows,
+            lambda: "\n".join([f"l={l} r={r} j={j} size={size} {status}"
+                               for l, r, j, size, status in rows] + [tail]))
     return _EXIT_OK if failures == 0 else _EXIT_DOMAIN
 
 
@@ -194,17 +167,13 @@ def cmd_valuation(ns: argparse.Namespace) -> int:
     if top <= binomial.DIRECT_BOUND:
         reports.append(binomial.valuation_direct(base, top, bottom))
     agree = len({rep.valuation for rep in reports}) == 1
-    if ns.format == "json":
-        _emit(ns, _json({"p": ns.p, "top": top, "bottom": bottom,
-                         "methods": {rep.method: rep.valuation for rep in reports},
-                         "agree": agree}))
-    elif ns.format == "csv":
-        rows = "\n".join(f"{ns.p},{top},{bottom},{rep.method},{rep.valuation}"
-                         for rep in reports)
-        _emit(ns, "p,top,bottom,method,valuation\n" + rows)
-    else:
-        fields = " ".join(f"{rep.method}={rep.valuation}" for rep in reports)
-        _emit(ns, f"{fields} {'AGREE' if agree else 'DISAGREE'}")
+    _render(ns, {"p": ns.p, "top": top, "bottom": bottom,
+                 "methods": {rep.method: rep.valuation for rep in reports},
+                 "agree": agree},
+            "p,top,bottom,method,valuation",
+            [(ns.p, top, bottom, rep.method, rep.valuation) for rep in reports],
+            lambda: " ".join([f"{rep.method}={rep.valuation}" for rep in reports]
+                             + ["AGREE" if agree else "DISAGREE"]))
     return _EXIT_OK if agree else _EXIT_DOMAIN
 
 
@@ -228,6 +197,15 @@ def _positive(text: str) -> int:
     return value
 
 
+def _table_bits(text: str) -> int:
+    # 2**64 entries is past any real enumeration; refusing larger values here
+    # keeps 1 << bits from building a huge integer before any bound check.
+    value = _positive(text)
+    if value > 64:
+        raise argparse.ArgumentTypeError("must be at most 64")
+    return value
+
+
 def _non_negative(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -240,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("plain", "csv", "json"),
                         default="plain", help="output format (default plain)")
     common.add_argument("--out", help="write output to this file instead of stdout")
-    common.add_argument("--max-table-bits", type=_positive, default=coding.TABLE_BITS,
+    common.add_argument("--max-table-bits", type=_table_bits, default=coding.TABLE_BITS,
                         help="refuse enumerations beyond 2**BITS entries")
 
     parser = argparse.ArgumentParser(
@@ -304,10 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except PowerPermError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except OSError as exc:
+    except (PowerPermError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -15,12 +15,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterator
 
-from .errors import (
-    DomainError,
-    EnumerationBoundExceeded,
-    InternalBijectivityViolation,
-    NotComposite,
-)
+from .errors import DomainError, EnumerationBoundExceeded, InternalBijectivityViolation
 from .padic import PrimeBase, totient_prime_power
 
 # Full-table enumeration refuses to build more than 2**TABLE_BITS entries
@@ -340,7 +335,7 @@ def compose_decomposition(
     """
     pw = params.power
     if pw.k == 0 or pw.q == 1:
-        raise NotComposite(
+        raise DomainError(
             f"n = {pw.n} does not split into nontrivial coprime-power factors"
         )
     p = params.p.p

@@ -5,48 +5,12 @@ class PowerPermError(ValueError):
     """Base class for argument and domain errors raised by this package."""
 
 
-class NotPrime(PowerPermError):
-    """The candidate base failed the primality check."""
-
-
-class UnsupportedSize(PowerPermError):
-    """The candidate base is too large for deterministic primality testing."""
-
-
-class DigitOutOfRange(PowerPermError):
-    """A digit lies outside [0, p)."""
-
-
-class UndefinedForZero(PowerPermError):
-    """The operation is undefined at zero (or for non-positive input)."""
-
-
-class ZeroModulus(PowerPermError):
-    """Modular arithmetic with a non-positive modulus."""
-
-
-class OutOfRange(PowerPermError):
-    """An index argument lies outside its admissible interval."""
-
-
-class BottomExceedsTop(PowerPermError):
-    """Binomial coefficient requested with bottom > top."""
-
-
-class OracleBoundExceeded(PowerPermError):
-    """The brute-force oracle was asked to exceed its safety bound."""
-
-
 class DomainError(PowerPermError):
-    """An input lies outside the domain of the coding map."""
+    """An argument lies outside the domain of the operation asked for."""
 
 
 class EnumerationBoundExceeded(PowerPermError):
     """A full-table enumeration would exceed the configured entry bound."""
-
-
-class NotComposite(PowerPermError):
-    """The exponent does not split into two nontrivial coprime-power factors."""
 
 
 class InternalBijectivityViolation(RuntimeError):

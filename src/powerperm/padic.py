@@ -1,22 +1,13 @@
-"""Exact base-p primitives: digit strings, valuations, decompositions, modular powers.
+"""Exact base-p primitives: a verified prime base, valuations, totients.
 
-Everything here works on arbitrary-precision integers. Digit strings are
-least-significant-first and canonical (no trailing zero limbs), so the
-representation of each integer is unique and ``to_digits(0)`` is empty.
+Everything here works on arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
-from .errors import (
-    DigitOutOfRange,
-    NotPrime,
-    UndefinedForZero,
-    UnsupportedSize,
-    ZeroModulus,
-)
+from .errors import DomainError
 
 # Deterministic Miller-Rabin witness set, valid far beyond 2**64.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -50,109 +41,20 @@ def _is_prime(n: int) -> bool:
 class PrimeBase:
     """A prime base p, verified prime at construction.
 
-    Raises:
-        UnsupportedSize: if p >= 2**64 (outside the deterministic test range).
-        NotPrime: if p is not prime.
+    Raises DomainError if p >= 2**64 (outside the deterministic test range,
+    so larger bases are rejected rather than probabilistically accepted) or
+    if p is not prime.
     """
 
     p: int
 
     def __post_init__(self) -> None:
         if self.p >= PRIMALITY_LIMIT:
-            raise UnsupportedSize(
+            raise DomainError(
                 f"base {self.p} exceeds the deterministic primality range (< 2**64)"
             )
         if not _is_prime(self.p):
-            raise NotPrime(f"{self.p} is not prime")
-
-    def digit_window(self, value: int, start: int, width: int) -> int:
-        """Digits of value at positions [start, start+width), as an integer."""
-        return (value // self.p**start) % self.p**width
-
-
-@dataclass(frozen=True)
-class DigitString:
-    """Base-p digits of a non-negative integer, least significant first."""
-
-    digits: tuple[int, ...]
-    base: PrimeBase
-
-    def __post_init__(self) -> None:
-        p = self.base.p
-        for d in self.digits:
-            if not 0 <= d < p:
-                raise DigitOutOfRange(f"digit {d} out of range for base {p}")
-        if self.digits and self.digits[-1] == 0:
-            raise DigitOutOfRange("digit string not canonical: trailing zero limb")
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def value(self) -> int:
-        return from_digits(self)
-
-
-@dataclass(frozen=True)
-class PAdicDecomposition:
-    """x = p**j * unit with unit = p*body + residue and 0 < residue < p."""
-
-    j: int
-    unit: int
-    residue: int
-    body: int
-
-
-def validate_prime(candidate: int) -> PrimeBase:
-    """Check primality and wrap the base.
-
-    Deterministic for candidates below 2**64; larger candidates raise
-    UnsupportedSize rather than fall back to a probabilistic answer.
-    """
-    return PrimeBase(candidate)
-
-
-def to_digits(x: int, base: PrimeBase) -> DigitString:
-    """Base-p digits of x, least significant first.
-
-    Examples:
-        >>> to_digits(26, PrimeBase(3)).digits
-        (2, 2, 2)
-        >>> to_digits(0, PrimeBase(5)).digits
-        ()
-    """
-    if x < 0:
-        raise DigitOutOfRange("x must be non-negative")
-    p = base.p
-    out: list[int] = []
-    while x:
-        x, d = divmod(x, p)
-        out.append(d)
-    return DigitString(tuple(out), base)
-
-
-def from_digits(
-    digits: Union[DigitString, Sequence[int]], base: PrimeBase | None = None
-) -> int:
-    """Integer value of a digit sequence (least significant first).
-
-    Accepts a DigitString, or a raw sequence plus a base. Trailing zeros are
-    tolerated here since they do not change the sum.
-    """
-    if isinstance(digits, DigitString):
-        seq: Sequence[int] = digits.digits
-        p = digits.base.p
-    else:
-        if base is None:
-            raise TypeError("base required when passing a raw digit sequence")
-        seq = digits
-        p = base.p
-        for d in seq:
-            if not 0 <= d < p:
-                raise DigitOutOfRange(f"digit {d} out of range for base {p}")
-    value = 0
-    for d in reversed(seq):
-        value = value * p + d
-    return value
+            raise DomainError(f"{self.p} is not prime")
 
 
 def valuation(x: int, base: PrimeBase) -> int:
@@ -165,30 +67,13 @@ def valuation(x: int, base: PrimeBase) -> int:
         1
     """
     if x <= 0:
-        raise UndefinedForZero("valuation requires a positive integer")
+        raise DomainError("valuation requires a positive integer")
     p = base.p
     e = 0
     while x % p == 0:
         x //= p
         e += 1
     return e
-
-
-def decompose(x: int, base: PrimeBase) -> PAdicDecomposition:
-    """Split x as p**j * (p*body + residue) with the residue a nonzero digit."""
-    j = valuation(x, base)  # raises for x <= 0
-    unit = x // base.p**j
-    body, residue = divmod(unit, base.p)
-    return PAdicDecomposition(j=j, unit=unit, residue=residue, body=body)
-
-
-def pow_mod(x: int, e: int, m: int) -> int:
-    """x**e mod m by exact square-and-multiply (x**0 == 1 whenever m > 1)."""
-    if m <= 0:
-        raise ZeroModulus("modulus must be positive")
-    if x < 0 or e < 0:
-        raise ValueError("base and exponent must be non-negative")
-    return pow(x, e, m)
 
 
 def totient_prime_power(base: PrimeBase, m: int) -> int:

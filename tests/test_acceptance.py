@@ -14,7 +14,7 @@ import time
 
 from powerperm import analysis, binomial, coding
 from powerperm.coding import CodingParams
-from powerperm.padic import PrimeBase, to_digits
+from powerperm.padic import PrimeBase
 
 
 def acceptance(number: int, label: str, budget: float | None = None):

@@ -134,6 +134,19 @@ def test_table_respects_entry_bound(capsys):
     assert err.startswith("error:")
 
 
+def test_table_bits_range_is_checked_up_front(capsys):
+    argv = ["table", "--p", "3", "--n", "3", "--l", "2", "--r", "1"]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--max-table-bits", "65"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --max-table-bits: must be at most 64" in captured.err
+    code, out, _ = run(capsys, *argv, "--max-table-bits", "64")
+    assert code == 0
+    assert out == "0 7 2 3 1 5 6 4 8\n"
+
+
 # ------------------------------------------------------------ encode/decode
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digit_oracle import from_digits, to_digits
 from powerperm import coding
 from powerperm.coding import (
     CodingParams,
@@ -24,20 +25,14 @@ from powerperm.coding import (
     reconstruct,
     shift,
 )
-from powerperm.errors import (
-    DomainError,
-    EnumerationBoundExceeded,
-    NotComposite,
-)
-from powerperm.padic import PrimeBase, from_digits, to_digits
+from powerperm.errors import DomainError, EnumerationBoundExceeded
+from powerperm.padic import PrimeBase
 
 
 def window_of_power(x: int, n: int, p: int, start: int, width: int) -> int:
     # independent oracle: expand x**n in base p and read the digit slice
-    digits = to_digits(x**n, PrimeBase(p)).digits
-    chunk = digits[start : start + width]
-    chunk = tuple(chunk) + (0,) * (width - len(chunk))
-    return from_digits(chunk, PrimeBase(p))
+    chunk = to_digits(x**n, p)[start : start + width]
+    return from_digits(chunk, p)
 
 
 # -------------------------------------------------------------- power split
@@ -423,9 +418,9 @@ def test_compose_example_two():
 
 
 def test_compose_rejects_pure_powers():
-    with pytest.raises(NotComposite):
+    with pytest.raises(DomainError, match="n = 5 does not split"):
         compose_decomposition(CodingParams.make(p=3, n=5, l=2, r=1))  # k = 0
-    with pytest.raises(NotComposite):
+    with pytest.raises(DomainError, match="n = 9 does not split"):
         compose_decomposition(CodingParams.make(p=3, n=9, l=2, r=1))  # q = 1
 
 

@@ -1,17 +1,13 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
+from digit_oracle import from_digits, to_digits
 from powerperm import padic
-from powerperm.errors import (
-    DigitOutOfRange,
-    NotPrime,
-    UndefinedForZero,
-    UnsupportedSize,
-    ZeroModulus,
-)
+from powerperm.coding import CodingParams, reconstruct
+from powerperm.errors import DomainError
 
 PRIMES = (2, 3, 5, 7, 11)
 
@@ -21,20 +17,20 @@ PRIMES = (2, 3, 5, 7, 11)
 
 def test_validate_prime_accepts_primes():
     for p in (2, 3, 5, 97, 65537, (1 << 61) - 1):
-        assert padic.validate_prime(p).p == p
+        assert padic.PrimeBase(p).p == p
 
 
 def test_validate_prime_rejects_composites_and_units():
     for bad in (0, 1, 4, 9, 100, 561, 65538):
-        with pytest.raises(NotPrime):
-            padic.validate_prime(bad)
+        with pytest.raises(DomainError, match=f"^{bad} is not prime$"):
+            padic.PrimeBase(bad)
 
 
 def test_validate_prime_rejects_beyond_deterministic_range():
-    with pytest.raises(UnsupportedSize):
-        padic.validate_prime((1 << 64) + 13)
-    with pytest.raises(UnsupportedSize):
-        padic.validate_prime(1 << 64)
+    with pytest.raises(DomainError, match="exceeds the deterministic primality range"):
+        padic.PrimeBase((1 << 64) + 13)
+    with pytest.raises(DomainError, match="exceeds the deterministic primality range"):
+        padic.PrimeBase(1 << 64)
 
 
 def test_primality_matches_trial_division_below_2000():
@@ -50,72 +46,44 @@ def test_primality_matches_trial_division_below_2000():
 
     for n in range(2000):
         try:
-            padic.validate_prime(n)
+            padic.PrimeBase(n)
             got = True
-        except NotPrime:
+        except DomainError:
             got = False
         assert got == trial(n), n
 
 
 # ------------------------------------------------------------------- digits
+# The digit route lives in tests/digit_oracle.py; these pin it down, since
+# the window tests in test_coding.py and test_binomial.py compare against it.
 
 
 def test_to_digits_examples():
-    assert padic.to_digits(26, padic.PrimeBase(3)).digits == (2, 2, 2)
-    assert padic.to_digits(0, padic.PrimeBase(5)).digits == ()
-    assert padic.to_digits(25, padic.PrimeBase(3)).digits == (1, 2, 2)
+    assert to_digits(26, 3) == (2, 2, 2)
+    assert to_digits(0, 5) == ()
+    assert to_digits(25, 3) == (1, 2, 2)
 
 
 def test_from_digits_examples():
-    b3 = padic.PrimeBase(3)
-    assert padic.from_digits([1, 2, 2], b3) == 25
-    assert padic.from_digits([], padic.PrimeBase(7)) == 0
-    assert padic.from_digits([0, 0, 1], padic.PrimeBase(2)) == 4
-    assert padic.from_digits(padic.to_digits(25, b3)) == 25
-
-
-def test_from_digits_rejects_out_of_range_digit():
-    with pytest.raises(DigitOutOfRange):
-        padic.from_digits([3], padic.PrimeBase(3))
-    with pytest.raises(DigitOutOfRange):
-        padic.from_digits([-1], padic.PrimeBase(5))
-
-
-def test_digit_string_validates_at_construction():
-    b3 = padic.PrimeBase(3)
-    with pytest.raises(DigitOutOfRange):
-        padic.DigitString((5,), b3)
-    with pytest.raises(DigitOutOfRange):
-        padic.DigitString((1, 0), b3)  # trailing zero limb
-    assert padic.DigitString((0, 1), b3).value() == 3
+    assert from_digits([1, 2, 2], 3) == 25
+    assert from_digits([], 7) == 0
+    assert from_digits([0, 0, 1], 2) == 4
+    assert from_digits(to_digits(25, 3), 3) == 25
 
 
 def test_round_trip_exhaustive_small():
     # dense slice of the range; the hypothesis test below samples up to 1e6
     for p in PRIMES:
-        base = padic.PrimeBase(p)
         for x in range(20000):
-            ds = padic.to_digits(x, base)
-            assert not ds.digits or ds.digits[-1] != 0
-            assert padic.from_digits(ds) == x
+            ds = to_digits(x, p)
+            assert all(0 <= d < p for d in ds)
+            assert not ds or ds[-1] != 0
+            assert from_digits(ds, p) == x
 
 
 @given(x=st.integers(0, 10**6), p=st.sampled_from(PRIMES))
 def test_round_trip_sampled(x, p):
-    base = padic.PrimeBase(p)
-    assert padic.from_digits(padic.to_digits(x, base)) == x
-
-
-def test_digit_window():
-    b3 = padic.PrimeBase(3)
-    # 4913 = 17**3 = 2 + 0*3 + 5*9 ... check against to_digits directly
-    digits = padic.to_digits(4913, b3).digits
-    for start in range(len(digits)):
-        for width in range(1, 4):
-            window = digits[start : start + width]
-            assert b3.digit_window(4913, start, width) == padic.from_digits(
-                list(window) + [0] * (width - len(window)), b3
-            ) % 3**width
+    assert from_digits(to_digits(x, p), p) == x
 
 
 # ---------------------------------------------------------------- valuation
@@ -128,9 +96,9 @@ def test_valuation_examples():
 
 
 def test_valuation_undefined_for_zero():
-    with pytest.raises(UndefinedForZero):
+    with pytest.raises(DomainError, match="requires a positive integer"):
         padic.valuation(0, padic.PrimeBase(2))
-    with pytest.raises(UndefinedForZero):
+    with pytest.raises(DomainError, match="requires a positive integer"):
         padic.valuation(-8, padic.PrimeBase(2))
 
 
@@ -143,59 +111,29 @@ def test_valuation_is_exact(x, p):
 
 
 # -------------------------------------------------------------- decompose
+# x = p**j * (p*x' + r) with 0 < r < p: valuation finds j and reconstruct
+# rebuilds x from the parts.
+
+
+def split(x: int, p: int) -> tuple[int, int, int]:
+    j = padic.valuation(x, padic.PrimeBase(p))
+    body, residue = divmod(x // p**j, p)
+    return j, body, residue
 
 
 def test_decompose_examples():
-    d = padic.decompose(18, padic.PrimeBase(3))
-    assert (d.j, d.body, d.residue) == (2, 0, 2)
-    d = padic.decompose(25, padic.PrimeBase(3))
-    assert (d.j, d.body, d.residue) == (0, 8, 1)
-    d = padic.decompose(24, padic.PrimeBase(2))
-    assert (d.j, d.body, d.residue) == (3, 1, 1)
+    for x, p, parts in ((18, 3, (2, 0, 2)), (25, 3, (0, 8, 1)), (24, 2, (3, 1, 1))):
+        j, body, residue = split(x, p)
+        assert (j, body, residue) == parts
+        assert reconstruct(CodingParams.make(p=p, n=1, l=4, r=residue, j=j), body) == x
 
 
 @given(x=st.integers(1, 10**12), p=st.sampled_from(PRIMES))
 def test_decompose_reconstructs(x, p):
-    d = padic.decompose(x, padic.PrimeBase(p))
-    assert 0 < d.residue < p
-    assert d.unit == p * d.body + d.residue
-    assert d.unit % p != 0
-    assert p**d.j * d.unit == x
-
-
-# ---------------------------------------------------------------- pow_mod
-
-
-def test_pow_mod_examples():
-    assert padic.pow_mod(7, 0, 13) == 1
-    assert padic.pow_mod(2, 10, 1000) == 24
-    assert padic.pow_mod(5, 9, 27) == 26
-
-
-def test_pow_mod_modulus_one_and_zero():
-    assert padic.pow_mod(7, 0, 1) == 0
-    with pytest.raises(ZeroModulus):
-        padic.pow_mod(2, 3, 0)
-    with pytest.raises(ZeroModulus):
-        padic.pow_mod(2, 3, -5)
-
-
-def test_pow_mod_rejects_negative_arguments():
-    with pytest.raises(ValueError):
-        padic.pow_mod(-2, 3, 7)
-    with pytest.raises(ValueError):
-        padic.pow_mod(2, -3, 7)
-
-
-def test_pow_mod_against_repeated_multiplication():
-    moduli = (1, 2, 7, 97, 1000, 10**6)
-    for m in moduli:
-        for x in range(0, 65, 7):
-            for e in range(0, 65, 3):
-                acc = 1 % m
-                for _ in range(e):
-                    acc = acc * x % m
-                assert padic.pow_mod(x, e, m) == acc
+    j, body, residue = split(x, p)
+    assert 0 < residue < p
+    params = CodingParams.make(p=p, n=1, l=body.bit_length() + 1, r=residue, j=j)
+    assert reconstruct(params, body) == x
 
 
 # ---------------------------------------------------------------- totient
@@ -230,15 +168,6 @@ def test_euler_theorem_on_prime_powers():
             phi = padic.totient_prime_power(base, m)
             for x in range(1, n):
                 if x % p:
-                    assert padic.pow_mod(x, phi, n) == 1
+                    assert pow(x, phi, n) == 1
             m += 1
 
-
-@settings(max_examples=200)
-@given(
-    x=st.integers(0, 10**6),
-    e=st.integers(0, 512),
-    m=st.integers(2, 10**9),
-)
-def test_pow_mod_matches_builtin(x, e, m):
-    assert padic.pow_mod(x, e, m) == pow(x, e, m)

@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Iterable
+from contextlib import nullcontext
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator
 
 from . import analysis, binomial, coding
 from .errors import PowerPermError
@@ -19,28 +21,36 @@ from .padic import PrimeBase, valuation as padic_valuation
 _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_DOMAIN = 3
+_CHUNK = 4096  # rows or values turned into text per write
+
+
+def _joined(sep: str, pieces: Iterable[str]) -> Iterator[str]:
+    """sep.join(pieces), handed out a few thousand pieces at a time."""
+    it, lead = iter(pieces), ""
+    while batch := list(islice(it, _CHUNK)):
+        yield lead + sep.join(batch)
+        lead = sep
 
 
 def _render(ns: argparse.Namespace, obj: dict, header: str,
-            rows: Iterable[Iterable], plain: Callable[[], str]) -> None:
+            rows: Iterable[Iterable], plain: Callable[[], Iterable[str]]) -> None:
     """Write one result to --out or stdout in the format --format names.
 
     obj is the JSON object (arrays are written as lists), header and rows
-    the CSV form, and plain builds the plain text, so that a large table is
-    turned into text only once, in the format asked for.
+    the CSV form, and plain yields the plain text in pieces, so that a large
+    table is turned into text only once, in the format asked for. CSV and
+    plain text are written as they are formatted; JSON is built whole.
     """
-    if ns.format == "json":
-        text = json.dumps(obj, separators=(", ", ": "), default=list)
-    elif ns.format == "csv":
-        text = "\n".join([header, *(",".join(map(str, row)) for row in rows)])
-    else:
-        text = plain()
-    # One trailing newline, LF endings, no locale formatting.
-    if ns.out:
-        with open(ns.out, "w", newline="\n") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    with open(ns.out, "w", newline="\n") if ns.out else nullcontext(sys.stdout) as fh:
+        if ns.format == "json":
+            fh.write(json.dumps(obj, separators=(", ", ": "), default=list))
+        elif ns.format == "csv":
+            fh.writelines(_joined("\n", chain(
+                [header], (",".join(map(str, row)) for row in rows))))
+        else:
+            fh.writelines(plain())
+        # One trailing newline, LF endings, no locale formatting.
+        fh.write("\n")
 
 
 def _max_entries(ns: argparse.Namespace) -> int:
@@ -61,8 +71,8 @@ def cmd_shift(ns: argparse.Namespace) -> int:
     alpha = coding.shift(power, base) + power.n * ns.j
     obj = {"p": ns.p, "n": ns.n, "j": ns.j, "q": power.q, "k": power.k, "alpha": alpha}
     _render(ns, obj, ",".join(obj), [obj.values()],
-            lambda: f"alpha'={alpha} (q={power.q}, k={power.k}, j={ns.j})" if ns.j
-            else f"alpha={alpha} (q={power.q}, k={power.k})")
+            lambda: [f"alpha'={alpha} (q={power.q}, k={power.k}, j={ns.j})" if ns.j
+                     else f"alpha={alpha} (q={power.q}, k={power.k})"])
     return _EXIT_OK
 
 
@@ -70,20 +80,20 @@ def cmd_table(ns: argparse.Namespace) -> int:
     params = _coding_params(ns)
     image = coding.permutation_table(params, _max_entries(ns)).image
     _render(ns, _coding_obj(ns, alpha=coding.extended_shift(params), image=image),
-            "x,z", enumerate(image), lambda: " ".join(map(str, image)))
+            "x,z", enumerate(image), lambda: _joined(" ", map(str, image)))
     return _EXIT_OK
 
 
 def cmd_encode(ns: argparse.Namespace) -> int:
     z = coding.encode(_coding_params(ns), ns.x)
-    _render(ns, _coding_obj(ns, x=ns.x, z=z), "x,z", [(ns.x, z)], lambda: str(z))
+    _render(ns, _coding_obj(ns, x=ns.x, z=z), "x,z", [(ns.x, z)], lambda: [str(z)])
     return _EXIT_OK
 
 
 def cmd_decode(ns: argparse.Namespace) -> int:
     x = coding.decode(_coding_params(ns), ns.code, max_entries=_max_entries(ns))
     _render(ns, _coding_obj(ns, code=ns.code, x=x), "code,x", [(ns.code, x)],
-            lambda: str(x))
+            lambda: [str(x)])
     return _EXIT_OK
 
 
@@ -118,9 +128,9 @@ def cmd_root(ns: argparse.Namespace) -> int:
     candidates = _root_candidates(ns)
     _render(ns, {"p": ns.p, "n": ns.n, "l": ns.l, "z": ns.z, "candidates": candidates},
             "r,xprime,x,modulus", [c.values() for c in candidates],
-            lambda: "\n".join(
+            lambda: ["\n".join(
                 f"x = {c['x']} (mod {c['modulus']})  [x' = {c['xprime']}, r = {c['r']}]"
-                for c in candidates) or "no preimage")
+                for c in candidates) or "no preimage"])
     return _EXIT_OK if candidates else _EXIT_DOMAIN
 
 
@@ -141,8 +151,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
                 {"l": l, "r": r, "j": j, "size": size, "ok": status == "pass"}
                 for l, r, j, size, status in rows], "all_pass": failures == 0},
             "l,r,j,size,status", rows,
-            lambda: "\n".join([f"l={l} r={r} j={j} size={size} {status}"
-                               for l, r, j, size, status in rows] + [tail]))
+            lambda: ["\n".join([f"l={l} r={r} j={j} size={size} {status}"
+                                for l, r, j, size, status in rows] + [tail])])
     return _EXIT_OK if failures == 0 else _EXIT_DOMAIN
 
 
@@ -172,8 +182,8 @@ def cmd_valuation(ns: argparse.Namespace) -> int:
                  "agree": agree},
             "p,top,bottom,method,valuation",
             [(ns.p, top, bottom, rep.method, rep.valuation) for rep in reports],
-            lambda: " ".join([f"{rep.method}={rep.valuation}" for rep in reports]
-                             + ["AGREE" if agree else "DISAGREE"]))
+            lambda: [" ".join([f"{rep.method}={rep.valuation}" for rep in reports]
+                              + ["AGREE" if agree else "DISAGREE"])])
     return _EXIT_OK if agree else _EXIT_DOMAIN
 
 

@@ -9,9 +9,11 @@ this module computes, inverts, or factors that permutation.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import gcd
 from typing import Iterator
 
@@ -23,6 +25,8 @@ from .padic import PrimeBase, totient_prime_power
 TABLE_BITS = 24
 MAX_TABLE_ENTRIES = 1 << TABLE_BITS
 DECODE_TABLE_LIMIT = 1 << 20
+# Largest chunk in which the enumeration kernel hands out per-entry powers.
+_HEAD_CHUNK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -152,17 +156,86 @@ def reconstruct(params: CodingParams, xp: int) -> int:
     return p**params.j * (p * xp + params.r)
 
 
-def iter_codes(params: CodingParams) -> Iterator[int]:
-    """Yield encode(x') for x' = 0, 1, ..., p**l - 1, one reduced power each."""
-    p, n, r = params.p.p, params.power.n, params.r
+def _typecode(bound: int) -> str | None:
+    """The smallest unsigned array typecode that holds every value below bound."""
+    return next((c for c in "BHILQ" if bound <= 1 << 8 * array(c).itemsize), None)
+
+
+def _code_chunks(params: CodingParams) -> Iterator[list[int] | array]:
+    """The one enumeration kernel: every code of the block, in x' order, in chunks.
+
+    Write x' = u + p**h * v with u < p**h, so that x = y + p**(h+1) * v with
+    y = p*u + r. Once h + 1 >= a and 2*(h+1) >= a + l, for the shift a, every
+    binomial term of degree 2 or more in v vanishes mod p**(a+l), and
+
+        code(u, v) = (A_u + B_u * v) mod p**l,
+
+    where A_u = code(u, 0) and B_u = n * y**(n-1) * p**(h+1-a) mod p**l. So
+    the block v = 0 costs one pow per u, and each later block of p**h codes
+    is the block before it plus B, less p**l wherever the sum reaches p**l.
+    Those steps run lane-wise on one int that packs a lane per u, and each
+    block is unpacked into an array. Lanes are used only when
+    4 * p**l <= 2**64; otherwise, and whenever the smallest such h reaches l,
+    h = l and every code is its own pow. The v = 0 block is yielded in
+    chunks of 1, 1, 2, 4, ... codes as they are computed, so a caller that
+    stops early pays only for what it takes.
+    """
+    p, n, r, l = params.p.p, params.power.n, params.r, params.l
     pa, modulus = _window_moduli(params)
-    return (pow(x, n, modulus) // pa for x in range(r, r + p * params.size(), p))
+    a = shift(params.power, params.p)
+    size = params.size()
+    lane = _typecode(4 * size)
+    h = max(a, (a + l + 1) // 2) - 1
+    if lane is None or h >= l:
+        h = l
+    span = p**h
+    heads, steps = array("Q"), array("Q")
+    scale = n * p ** (h + 1 - a) if h < l else 0
+    start, count = 0, 1
+    while start < span:
+        ys = range(p * start + r, p * min(start + count, span) + r, p)
+        codes = [pow(y, n, modulus) // pa for y in ys]
+        yield codes
+        if h < l:
+            heads.extend(codes)
+            steps.extend([scale * pow(y, n - 1, size) % size for y in ys])
+        start += count
+        count = min(2 * count, _HEAD_CHUNK)
+    if h == l:
+        return
+    # A lane of w bits holds t = cur + B < 2 * p**l <= 2**(w-1). Adding
+    # 2**(w-2) - p**l sets bit w-2 exactly where t >= p**l, with no carry
+    # into the next lane.
+    order, itemsize = sys.byteorder, array(lane).itemsize
+    top = 8 * itemsize - 2
+    ones = int.from_bytes((array(lane, [1]) * span).tobytes(), order)
+    bias = ones * ((1 << top) - size)
+    cur = int.from_bytes(array(lane, heads).tobytes(), order)
+    step = int.from_bytes(array(lane, steps).tobytes(), order)
+    nbytes = span * itemsize
+    for _ in range(p ** (l - h) - 1):
+        t = cur + step
+        cur = t - (((t + bias) >> top) & ones) * size
+        block = array(lane)
+        block.frombytes(cur.to_bytes(nbytes, order))
+        yield block
+
+
+def iter_codes(params: CodingParams) -> Iterator[int]:
+    """Yield encode(x') for x' = 0, 1, ..., p**l - 1, lazily.
+
+    The codes come from the block kernel _code_chunks: code(u + p**h * v)
+    = (A_u + B_u * v) mod p**l, one pow per u and lane-wise adds after that.
+    """
+    return chain.from_iterable(_code_chunks(params))
 
 
 def code_array(params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES) -> array:
     """Every code of the block in x' order, in the smallest array that holds them.
 
     This is the one full enumeration behind tables, audits and scatter data.
+    It stores the chunks of the block kernel _code_chunks, which steps
+    code(u + p**h * v) = (A_u + B_u * v) mod p**l lane-wise over v.
     Raises EnumerationBoundExceeded when p**l > max_entries.
     """
     size = params.size()
@@ -170,10 +243,13 @@ def code_array(params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES) -> ar
         raise EnumerationBoundExceeded(
             f"enumeration would need {size} entries; bound is {max_entries}"
         )
-    typecode = next(
-        (c for c in "BHILQ" if size <= 1 << 8 * array(c).itemsize), "Q"
-    )
-    return array(typecode, iter_codes(params))
+    typecode = _typecode(size) or "Q"
+    codes = array(typecode)
+    for chunk in _code_chunks(params):
+        if isinstance(chunk, array) and chunk.typecode != typecode:
+            chunk = chunk.tolist()  # the lanes are wider than the codes
+        codes.extend(chunk)
+    return codes
 
 
 def first_collision(codes: array) -> tuple[int, int] | None:
@@ -291,7 +367,7 @@ def _decode_lift(params: CodingParams, code: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _cached_inverse(params: CodingParams, max_entries: int) -> tuple[int, ...]:
+def _cached_inverse(params: CodingParams, max_entries: int) -> array:
     return permutation_table(params, max_entries).inverse_image()
 
 

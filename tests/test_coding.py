@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+import time
 from itertools import islice
 from math import gcd
 
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 from digit_oracle import from_digits, to_digits
 from powerperm import coding
+from powerperm.analysis import export_scatter
 from powerperm.coding import (
     CodingParams,
     PowerSpec,
+    code_array,
     compose_decomposition,
     decode,
     decode_exponent,
@@ -228,6 +231,8 @@ def test_table_uses_smallest_typecode():
         table = permutation_table(CodingParams.make(p=2, n=3, l=l, r=1))
         assert table.image.typecode == typecode
         assert table.inverse_image().typecode == typecode
+        params = CodingParams.make(p=2, n=3, l=l, r=1)
+        assert export_scatter(params).codes.typecode == typecode
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
@@ -246,6 +251,38 @@ def test_wide_table_stays_compact():
     )
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) < 50 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_wide_csv_table_streams(tmp_path):
+    # 2**22 rows of csv, about 60 MB of text: the kernel fills a 16 MB array
+    # and the renderer writes rows as it formats them. VmHWM is the CLI
+    # process's own peak RSS in KiB.
+    out = tmp_path / "table.csv"
+    code = (
+        "import sys\n"
+        "from powerperm.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+        "           if line.startswith('VmHWM:')))\n"
+        "sys.exit(rc)\n"
+    )
+    argv = ["table", "--p", "2", "--n", "3", "--l", "22", "--r", "1",
+            "--format", "csv", "--out", str(out)]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 10
+    assert int(proc.stdout) < 60 * 1024
+    params = CodingParams.make(p=2, n=3, l=22, r=1)
+    last = params.size() - 1
+    with open(out, "rb") as fh:
+        assert fh.readline() == b"x,z\n"
+        fh.seek(-64, 2)
+        assert fh.read().endswith(f"\n{last},{encode(params, last)}\n".encode())
 
 
 def test_table_bound():
@@ -294,6 +331,66 @@ def test_reduced_power_matches_full_power_exhaustively():
                         checked += 1
                         l += 1
     assert checked == 20 * (10 + 2 * 6 + 4 * 4 + 6 * 3)
+
+
+def assert_kernel_exact(p: int, n: int, l: int, r: int, j: int) -> None:
+    params = CodingParams.make(p=p, n=n, l=l, r=r, j=j)
+    want = [full_power_code(p, n, l, r, j, xp) for xp in range(p**l)]
+    assert list(iter_codes(params)) == want, (p, n, l, r, j)
+    assert code_array(params).tolist() == want, (p, n, l, r, j)
+
+
+def test_kernel_with_lanes_wider_than_codes():
+    # 4 * p**l needs a wider lane than p**l needs a code, so every block
+    # is narrowed on its way into the code array
+    for p, l in ((2, 15), (2, 16), (3, 10)):
+        size = p**l
+        assert coding._typecode(size) == "H"
+        assert coding._typecode(4 * size) == "I"
+        for n in (3, 2 * p):
+            assert_kernel_exact(p, n, l, r=1, j=0)
+
+
+def test_kernel_where_every_code_is_its_own_power():
+    # the shift 1 + k (+1) exceeds l, so no linear step fits below the window
+    # and the kernel takes h = l
+    for p, n, ls in ((2, 2**12, range(1, 9)), (3, 3**6, range(1, 5))):
+        for l in ls:
+            for r in range(1, p):
+                for j in (0, 1):
+                    assert_kernel_exact(p, n, l, r, j)
+
+
+def test_kernel_for_two_with_k_at_least_one():
+    # the extra shift digit for p = 2 moves h and the step B
+    for n in (2, 4, 6, 12, 24, 96, 1000):
+        for j in (0, 1, 2):
+            for l in range(1, 11):
+                assert_kernel_exact(2, n, l, 1, j)
+
+
+def test_kernel_is_lazy_for_huge_primes():
+    # at l = 2, p**l is past 2**64 and every code is its own pow; at l = 1
+    # each block is one lane wide. Either way the first codes come out
+    # before the rest of the block is computed.
+    for p in (2**61 - 1, 2**62 - 57):
+        for l in (1, 2):
+            for n in (2, 3, 5):
+                start = time.perf_counter()
+                params = CodingParams.make(p=p, n=n, l=l, r=p - 2, j=1)
+                got = list(islice(iter_codes(params), 3))
+                assert time.perf_counter() - start < 1
+                assert got == [full_power_code(p, n, l, p - 2, 1, x) for x in range(3)]
+
+
+def test_kernel_head_runs_past_its_chunk_cap():
+    # at l = 40 the v = 0 block has 2**20 codes, handed out in chunks that
+    # double up to a cap; a prefix well past the cap is still exact
+    params = CodingParams.make(p=2, n=3, l=40, r=1)
+    head = 3 * coding._HEAD_CHUNK + 5
+    assert list(islice(iter_codes(params), head)) == [
+        full_power_code(2, 3, 40, 1, 0, x) for x in range(head)
+    ]
 
 
 def test_window_one_digit_earlier_is_not_bijective():

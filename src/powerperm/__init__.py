@@ -29,13 +29,13 @@ from .coding import (
     PowerSpec,
     compose_decomposition,
     decode,
-    decode_exponent,
     encode,
     encode_via_composition,
     extended_shift,
     iter_codes,
     permutation_table,
     reconstruct,
+    roots,
     shift,
 )
 from .errors import (
@@ -66,7 +66,6 @@ __all__ = [
     "compose_decomposition",
     "cycle_structure",
     "decode",
-    "decode_exponent",
     "encode",
     "encode_via_composition",
     "export_scatter",
@@ -75,6 +74,7 @@ __all__ = [
     "kummer_carries",
     "permutation_table",
     "reconstruct",
+    "roots",
     "shift",
     "totient_prime_power",
     "valuation",

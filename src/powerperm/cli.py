@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator
 
 from . import analysis, binomial, coding
 from .errors import PowerPermError
-from .padic import PrimeBase, valuation as padic_valuation
+from .padic import PrimeBase
 
 _EXIT_OK = 0
 _EXIT_USAGE = 2
@@ -97,41 +97,13 @@ def cmd_decode(ns: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _root_candidates(ns: argparse.Namespace) -> list[dict[str, int]]:
-    base = PrimeBase(ns.p)
-    power = coding.PowerSpec.from_power(ns.n, base)
-    p = ns.p
-    v = padic_valuation(ns.z, base) if ns.z % p == 0 else 0
-    if v % ns.n:
-        return []
-    j = v // ns.n
-    w = ns.z // p**v
-    alpha = coding.shift(power, base)
-    # Low digits of the unit part pin the residue; the window pins the rest.
-    check_mod = p ** (power.k + ns.l + 1)
-    out = []
-    for r in range(1, p):
-        if pow(r, ns.n, p**alpha) != w % p**alpha:
-            continue
-        params = coding.CodingParams(p=base, power=power, l=ns.l, r=r, j=j)
-        code = (w // p**alpha) % p**ns.l
-        xp = coding.decode(params, code, max_entries=_max_entries(ns))
-        unit = p * xp + r
-        if pow(unit, ns.n, check_mod) != w % check_mod:
-            continue
-        out.append({"r": r, "xprime": xp, "x": p**j * unit,
-                    "modulus": p ** (j + ns.l + 1)})
-    return out
-
-
 def cmd_root(ns: argparse.Namespace) -> int:
-    candidates = _root_candidates(ns)
-    _render(ns, {"p": ns.p, "n": ns.n, "l": ns.l, "z": ns.z, "candidates": candidates},
-            "r,xprime,x,modulus", [c.values() for c in candidates],
-            lambda: ["\n".join(
-                f"x = {c['x']} (mod {c['modulus']})  [x' = {c['xprime']}, r = {c['r']}]"
-                for c in candidates) or "no preimage"])
-    return _EXIT_OK if candidates else _EXIT_DOMAIN
+    roots = coding.roots(PrimeBase(ns.p), ns.n, ns.l, ns.z, _max_entries(ns))
+    _render(ns, {"p": ns.p, "n": ns.n, "l": ns.l, "z": ns.z,
+                 "candidates": [c._asdict() for c in roots]}, "r,xprime,x,modulus", roots,
+            lambda: ["\n".join(f"x = {c.x} (mod {c.modulus})  [x' = {c.xprime}, r = {c.r}]"
+                               for c in roots) or "no preimage"])
+    return _EXIT_OK if roots else _EXIT_DOMAIN
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import gcd
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, EnumerationBoundExceeded, InternalBijectivityViolation
-from .padic import PrimeBase, totient_prime_power
+from .padic import PrimeBase, totient_prime_power, valuation
 
 # Full-table enumeration refuses to build more than 2**TABLE_BITS entries
-# unless told otherwise; decode switches to the scalable path above 2**20.
+# unless told otherwise; decode inverts a table only up to 2**20 entries.
 TABLE_BITS = 24
 MAX_TABLE_ENTRIES = 1 << TABLE_BITS
 DECODE_TABLE_LIMIT = 1 << 20
@@ -99,9 +99,6 @@ class PermutationTable:
 
     def __len__(self) -> int:
         return len(self.image)
-
-    def apply(self, xp: int) -> int:
-        return self.image[xp]
 
     def inverse_image(self) -> array:
         inv = array(self.image.typecode, [0]) * len(self.image)
@@ -295,22 +292,15 @@ def decode_exponent(params: CodingParams) -> int:
     """Inverse exponent s for the unit part q of n.
 
     Computed as the inverse of q modulo phi(p**L) when gcd(q, p-1) == 1 and
-    modulo p**(L-1) otherwise, with L = l + 1 + k (+1 for p == 2 with
-    k >= 1). Either way q*s is 1 modulo p**l, which is what the decode path
-    needs on the subgroup of integers congruent to 1 mod p. When k == 0 and
-    gcd(n, p-1) == 1 the stronger identity (x**n)**s == x holds for every
-    unit x below p**L.
+    modulo p**(L-1) otherwise, with L = l + shift. Either way q*s is 1
+    modulo p**l, which is what the decode path needs on the subgroup of
+    integers congruent to 1 mod p. When k == 0 and gcd(n, p-1) == 1 the
+    stronger identity (x**n)**s == x holds for every unit x below p**L.
     """
-    p = params.p.p
-    pw = params.power
-    delta = 1 if (p == 2 and pw.k >= 1) else 0
-    big = params.l + 1 + pw.k + delta
-    if gcd(pw.q, p - 1) == 1:
-        modulus = totient_prime_power(params.p, big)
-    else:
-        modulus = p ** (big - 1)
-    if modulus == 1:
-        return 1
+    p, pw = params.p.p, params.power
+    big = params.l + shift(pw, params.p)
+    modulus = (totient_prime_power(params.p, big) if gcd(pw.q, p - 1) == 1
+               else p ** (big - 1))
     return pow(pw.q, -1, modulus)
 
 
@@ -324,8 +314,7 @@ def _low_window_value(params: CodingParams, code: int) -> int:
 def _decode_unit_exponent(params: CodingParams, code: int) -> int:
     # k == 0: one modular exponentiation inverts the whole map. Divide out
     # the residue to land in the 1 mod p subgroup, where orders divide p**l.
-    p = params.p.p
-    n = params.power.n
+    p, n = params.p.p, params.power.n
     big = p ** (params.l + 1)
     w = _low_window_value(params, code)
     v = w * pow(pow(params.r, n, big), -1, big) % big
@@ -339,8 +328,7 @@ def _decode_lift(params: CodingParams, code: int) -> int:
     # p divides n: recover x_u digit by digit. For p == 2 a digit of x_u can
     # disturb the code one position below the newest one, so candidates are
     # filtered with a one-digit lag and pinned by the full window at the end.
-    p = params.p.p
-    n = params.power.n
+    p, n = params.p.p, params.power.n
     a = shift(params.power, params.p)
     lag = 1 if p == 2 else 0
     w = _low_window_value(params, code)
@@ -367,34 +355,73 @@ def _decode_lift(params: CodingParams, code: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _cached_inverse(params: CodingParams, max_entries: int) -> array:
-    return permutation_table(params, max_entries).inverse_image()
+def _cached_inverse(params: CodingParams) -> array:
+    return permutation_table(params).inverse_image()
 
 
-def decode(
-    params: CodingParams,
-    code: int,
-    strategy: str = "auto",
-    max_entries: int = MAX_TABLE_ENTRIES,
-) -> int:
+def decode(params: CodingParams, code: int, max_entries: int = MAX_TABLE_ENTRIES) -> int:
     """The unique x' with encode(params, x') == code.
 
-    strategy "table" inverts a full enumeration (cached per params),
-    "exponent" uses one modular inversion when p does not divide n and
-    digit-wise lifting otherwise, and "auto" picks the table below 2**20
-    entries and the scalable path above.
+    A block of at most min(2**20, max_entries) values is inverted through a
+    full enumeration, cached per params. A larger one takes the scalable
+    path: one modular inverse exponent when p does not divide n, digit-wise
+    lifting otherwise.
     """
     if not 0 <= code < params.size():
         raise DomainError(f"code must lie in [0, {params.size()}); got {code}")
-    if strategy == "auto":
-        strategy = "table" if params.size() <= DECODE_TABLE_LIMIT else "exponent"
-    if strategy == "table":
-        return _cached_inverse(params, max_entries)[code]
-    if strategy == "exponent":
-        if params.power.k == 0:
-            return _decode_unit_exponent(params, code)
-        return _decode_lift(params, code)
-    raise DomainError(f"unknown decode strategy {strategy!r}")
+    if params.size() <= min(DECODE_TABLE_LIMIT, max_entries):
+        return _cached_inverse(params)[code]
+    if params.power.k == 0:
+        return _decode_unit_exponent(params, code)
+    return _decode_lift(params, code)
+
+
+class Root(NamedTuple):
+    """Every integer congruent to x modulo modulus, where x = p**j * (p*xprime + r)."""
+
+    r: int
+    xprime: int
+    x: int
+    modulus: int
+
+
+def roots(
+    base: PrimeBase, n: int, l: int, z: int, max_entries: int = MAX_TABLE_ENTRIES
+) -> list[Root]:
+    """Every class of x whose power x**n agrees with z up to the window's top digit.
+
+    z = p**(n*j) * w with w a unit. Each residue r with r**n == w below the
+    shift decodes w's window once, which fixes x modulo p**(j+l+1). For
+    p == 2 and even n, x and -x share their power and the window fixes x
+    only up to sign modulo 2**(j+l+2), so both classes come back, the
+    decoded one first. Raises EnumerationBoundExceeded when p - 1 > max_entries.
+    """
+    p = base.p
+    power = PowerSpec.from_power(n, base)
+    v = valuation(z, base)
+    if v % n:
+        return []
+    if p - 1 > max_entries:
+        raise EnumerationBoundExceeded(
+            f"enumeration would need {p - 1} entries; bound is {max_entries}"
+        )
+    j = v // n
+    w = z // p**v
+    pa = p ** shift(power, base)
+    out = []
+    for r in range(1, p):
+        if pow(r, n, pa) != w % pa:
+            continue
+        params = CodingParams(p=base, power=power, l=l, r=r, j=j)
+        xp = decode(params, w // pa % params.size(), max_entries)
+        unit = p * xp + r
+        if p == 2 and power.k:
+            top = 2 ** (l + 2)
+            out += [Root(r, xp, 2**j * unit, 2**j * top),
+                    Root(r, (top - unit - r) // p, 2**j * (top - unit), 2**j * top)]
+        else:
+            out.append(Root(r, xp, p**j * unit, p ** (j + l + 1)))
+    return out
 
 
 def compose_decomposition(

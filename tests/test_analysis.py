@@ -51,9 +51,9 @@ def test_cycle_structure_of_cubing_block():
     assert report.cycle_lengths == (1, 1, 1, 1, 1, 1, 3)
     assert report.order == 3
     # the one long cycle is 1 -> 7 -> 4 -> 1
-    assert table.apply(1) == 7
-    assert table.apply(7) == 4
-    assert table.apply(4) == 1
+    assert table.image[1] == 7
+    assert table.image[7] == 4
+    assert table.image[4] == 1
 
 
 def test_cycle_structure_of_identity():
@@ -80,11 +80,11 @@ def test_order_annihilates_the_permutation():
         for x in range(len(table)):
             y = x
             for _ in range(report.order):
-                y = table.apply(y)
+                y = table.image[y]
             assert y == x
         # and no smaller positive power works unless the order is 1
         if report.order > 1:
-            moved = [x for x in range(len(table)) if table.apply(x) != x]
+            moved = [x for x in range(len(table)) if table.image[x] != x]
             assert moved
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -198,6 +199,15 @@ def test_encode_decode_json(capsys):
     assert out == '{"p": 3, "n": 3, "l": 2, "r": 1, "j": 1, "code": 1, "x": 4}\n'
 
 
+def test_decode_past_a_small_table_bound_takes_scalable_path(capsys):
+    # 2**15 codes exceed a 2**10-entry bound, so decode inverts arithmetically
+    code, out, err = run(
+        capsys, "decode", "--p", "2", "--n", "3", "--l", "15", "--r", "1",
+        "--code", "5", "--max-table-bits", "10",
+    )
+    assert (code, out, err) == (0, "30185\n", "")
+
+
 def test_encode_out_of_range_is_usage_error(capsys):
     code, out, err = run(
         capsys, "encode", "--p", "3", "--n", "3", "--l", "2", "--r", "1",
@@ -261,7 +271,45 @@ def test_root_recovers_square(capsys):
         capsys, "root", "--p", "2", "--n", "2", "--l", "3", "--z", "81"
     )
     assert code == 0
-    assert out == "x = 9 (mod 16)  [x' = 4, r = 1]\n"
+    assert out == "x = 9 (mod 32)  [x' = 4, r = 1]\nx = 23 (mod 32)  [x' = 11, r = 1]\n"
+
+
+def test_root_of_an_even_power_of_two_names_both_signs(capsys):
+    # 1001**2 = 1002001; x and -x share the window, so both classes mod 2**10
+    code, out, _ = run(
+        capsys, "root", "--p", "2", "--n", "2", "--l", "8", "--z", "1002001"
+    )
+    assert code == 0
+    assert out == ("x = 23 (mod 1024)  [x' = 11, r = 1]\n"
+                   "x = 1001 (mod 1024)  [x' = 500, r = 1]\n")
+
+
+def test_root_refuses_a_residue_scan_past_the_bound():
+    for p in ("2147483647", "18446744073709551557"):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "powerperm", "root",
+             "--p", p, "--n", "3", "--l", "1", "--z", "8"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert time.perf_counter() - start < 2
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: enumeration would need {int(p) - 1} entries; "
+                               f"bound is {2**24}\n")
+
+
+def test_root_scans_every_residue_below_the_bound(capsys):
+    # 8 = 2**3, and 1000003 - 1 is divisible by 3: three cube roots mod p
+    code, out, _ = run(
+        capsys, "root", "--p", "1000003", "--n", "3", "--l", "1", "--z", "8"
+    )
+    assert code == 0
+    assert out == ("x = 2 (mod 1000006000009)  [x' = 0, r = 2]\n"
+                   "x = 333502001502 (mod 1000006000009)  [x' = 333501, r = 999]\n"
+                   "x = 666503998505 (mod 1000006000009)  [x' = 666501, r = 999002]\n")
 
 
 def test_root_with_p_divisible_argument(capsys):

@@ -26,6 +26,7 @@ from powerperm.coding import (
     iter_codes,
     permutation_table,
     reconstruct,
+    roots,
     shift,
 )
 from powerperm.errors import DomainError, EnumerationBoundExceeded
@@ -187,7 +188,7 @@ def test_top_of_range_block():
         z = encode(params, top)
         assert 0 <= z < params.size()
         assert decode(params, z) == top
-        assert decode(params, z, strategy="exponent") == top
+        assert decode(params, z, max_entries=1) == top  # the scalable path
 
 
 # ------------------------------------------------------------------- tables
@@ -223,7 +224,7 @@ def test_table_inverse_round_trip():
     table = permutation_table(CodingParams.make(p=3, n=3, l=3, r=2))
     inv = table.inverse_image()
     for x in range(len(table)):
-        assert inv[table.apply(x)] == x
+        assert inv[table.image[x]] == x
 
 
 def test_table_uses_smallest_typecode():
@@ -417,12 +418,6 @@ def test_decode_rejects_out_of_range_code():
         decode(params, -1)
 
 
-def test_decode_rejects_unknown_strategy():
-    params = CodingParams.make(p=3, n=3, l=2, r=1)
-    with pytest.raises(DomainError):
-        decode(params, 1, strategy="guess")
-
-
 DECODE_GRID = [
     (2, 2, 4, 1, 0),
     (2, 4, 3, 1, 0),  # p=2, k=2: hardest lifting case
@@ -443,12 +438,26 @@ DECODE_GRID = [
 
 
 def test_decode_strategies_agree_exhaustively():
+    # the enumeration's inverse and the scalable path (forced by a bound of
+    # one entry) both invert every code
     for p, n, l, r, j in DECODE_GRID:
         params = CodingParams.make(p=p, n=n, l=l, r=r, j=j)
         image = list(iter_codes(params))
+        inverse = permutation_table(params).inverse_image()
         for xp, z in enumerate(image):
-            assert decode(params, z, strategy="table") == xp, (p, n, l, r, xp)
-            assert decode(params, z, strategy="exponent") == xp, (p, n, l, r, xp)
+            assert decode(params, z) == inverse[z] == xp, (p, n, l, r, xp)
+            assert decode(params, z, max_entries=1) == xp, (p, n, l, r, xp)
+
+
+def test_decode_builds_no_table_past_its_bound(monkeypatch):
+    def no_table(params):
+        raise AssertionError(f"decode built a table for {params}")
+
+    monkeypatch.setattr(coding, "_cached_inverse", no_table)
+    params = CodingParams.make(p=2, n=3, l=15, r=1)  # one inverse exponent
+    assert decode(params, 5, max_entries=2**10) == 30185
+    params = CodingParams.make(p=3, n=6, l=5, r=2)  # digit lifting
+    assert decode(params, encode(params, 200), max_entries=3**5 - 1) == 200
 
 
 def test_decode_auto_uses_scalable_path_for_wide_blocks():
@@ -489,6 +498,53 @@ def test_decode_exponent_inverts_unit_part_on_coset():
         m = p ** (l + 1)
         for v in range(1, m, p):
             assert pow(pow(v, q, m), s, m) == v, (p, n, l, v)
+
+
+# -------------------------------------------------------------------- roots
+
+
+def test_roots_hold_for_every_unit_on_a_grid():
+    # For every unit below p**(l+3) and j in {0, 1}: some class contains the
+    # true x, and the powers of a class agree with z on the window and below
+    # it. A bound of p - 1 entries sends every decode down the scalable path.
+    queries = 0
+    for p, lmax in ((2, 4), (3, 2), (5, 1), (7, 1)):
+        base = PrimeBase(p)
+        for n in range(1, 11):
+            alpha = shift(PowerSpec.from_power(n, base), base)
+            for l in range(1, lmax + 1):
+                for bound in (coding.MAX_TABLE_ENTRIES, p - 1):
+                    for j in (0, 1):
+                        check = p ** (n * j + alpha + l)
+                        for unit in range(1, p ** (l + 3)):
+                            if unit % p == 0:
+                                continue
+                            x = p**j * unit
+                            z = x**n
+                            found = roots(base, n, l, z, bound)
+                            assert any((x - c.x) % c.modulus == 0 for c in found), (
+                                p, n, l, j, x, found)
+                            for c in found:
+                                assert c.x == p**j * (p * c.xprime + c.r)
+                                for y in (c.x, c.x + c.modulus):  # the whole class
+                                    assert pow(y, n, check) == z % check, (p, n, l, j, x, c)
+                            queries += 1
+    assert queries == 115_760
+
+
+def test_roots_for_two_and_even_n_name_both_signs():
+    base = PrimeBase(2)
+    found = roots(base, 2, 8, 1001**2)
+    assert found == [coding.Root(1, 11, 23, 1024), coding.Root(1, 500, 1001, 1024)]
+    assert roots(base, 6, 3, (4 * 11) ** 6) == [
+        coding.Root(1, 5, 44, 128), coding.Root(1, 10, 84, 128)]
+
+
+def test_roots_refuse_a_residue_scan_past_the_bound():
+    with pytest.raises(EnumerationBoundExceeded,
+                       match="enumeration would need 4 entries; bound is 3"):
+        roots(PrimeBase(5), 3, 1, 8, 3)
+    assert roots(PrimeBase(5), 3, 1, 8, 4) == [coding.Root(2, 0, 2, 25)]
 
 
 # -------------------------------------------------------------- composition
@@ -591,8 +647,8 @@ def test_round_trip_property(data):
     xp = data.draw(st.integers(0, params.size() - 1))
     z = encode(params, xp)
     assert 0 <= z < params.size()
-    assert decode(params, z, strategy="exponent") == xp
-    assert decode(params, z, strategy="table") == xp
+    assert decode(params, z, max_entries=1) == xp  # the scalable path
+    assert decode(params, z) == permutation_table(params).inverse_image()[z] == xp
 
 
 @settings(max_examples=80, deadline=None)

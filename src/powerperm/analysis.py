@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterator
 
 from .coding import (
@@ -12,6 +14,7 @@ from .coding import (
     CodingParams,
     PermutationTable,
     code_array,
+    column_maps,
     first_collision,
 )
 
@@ -82,7 +85,108 @@ def audit_bijectivity(
 
 
 def cycle_structure(table: PermutationTable) -> CycleReport:
-    """Cycle decomposition; order is the lcm of the cycle lengths."""
+    """Cycle decomposition; order is the lcm of the cycle lengths.
+
+    On the column path (see coding.column_maps) f is a skew product over the
+    column permutation sigma. For a sigma-cycle (u_0 ... u_{m-1}), f**m maps
+    column u_0 onto itself by the composed affine map G(v) = alpha + beta * v
+    mod p**(l-h), and each t-cycle of G is one f-cycle of length m * t. G's
+    cycle type comes in closed form, and fixed points come only from
+    sigma-fixed columns, so this costs O(p**h) plus the size of the report.
+    Other blocks walk the table entry by entry.
+    """
+    cols = column_maps(table)
+    if cols is None:
+        return _walk_cycles(table)
+    span, period, size = cols.span, cols.period, len(table.image)
+    p = table.params.p.p
+    primes = _prime_factors(p - 1)
+    counts: Counter[int] = Counter()
+    fixed: list[range] = []
+    visited = bytearray(span)
+    for u0 in range(span):
+        if visited[u0]:
+            continue
+        alpha, beta, m, u = 0, 1, 0, u0
+        while not visited[u]:
+            visited[u] = 1
+            alpha = (cols.tops[u] + cols.betas[u] * alpha) % period
+            beta = beta * cols.betas[u] % period
+            u = cols.sigma[u]
+            m += 1
+        for t, count in _affine_cycle_type(alpha, beta, p, period, primes).items():
+            counts[m * t] += count
+        if m == 1:
+            # (beta - 1) * v == -alpha (mod period) holds on no v, or on one
+            # class mod period // g.
+            g = math.gcd(beta - 1, period)
+            if alpha % g == 0:
+                step = period // g
+                v0 = -(alpha // g) * pow((beta - 1) // g, -1, step) % step
+                fixed.append(range(u0 + span * v0, size, span * step))
+    return CycleReport(
+        params=table.params,
+        cycle_count=sum(counts.values()),
+        cycle_lengths=tuple(chain.from_iterable(
+            repeat(length, counts[length]) for length in sorted(counts))),
+        fixed_points=tuple(sorted(chain.from_iterable(fixed))),
+        order=math.lcm(*counts),
+    )
+
+
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, by trial division."""
+    out, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    return out + [m] if m > 1 else out
+
+
+def _affine_cycle_type(
+    alpha: int, beta: int, p: int, period: int, primes: list[int]
+) -> dict[int, int]:
+    """{t: number of t-cycles} of G(v) = alpha + beta * v mod period.
+
+    period is a power of the prime p, beta is a unit mod p, and primes holds
+    every prime dividing p - 1. G**d(v) = beta**d * v + alpha * S_d with
+    S_d = 1 + beta + ... + beta**(d-1), so G**d fixes g = gcd(beta**d - 1,
+    period) points if g divides alpha * S_d, and none otherwise. ord(G)
+    divides phi(period) * period, every cycle length divides ord(G), and
+    Moebius inversion over its divisors (fixed points of G**t less the
+    points on shorter cycles whose length divides t) counts the points on
+    cycles of each exact length.
+    """
+
+    def fixed(d: int) -> int:
+        if beta == 1:
+            b, s = 0, d
+        else:  # beta**d - 1 is exact mod period * (beta - 1), so S_d is too
+            b = pow(beta, d, period * (beta - 1)) - 1
+            s = b // (beta - 1)
+        g = math.gcd(b, period)
+        return g if alpha * s % g == 0 else 0
+
+    order = period * period // p * (p - 1)
+    divisors = [1]
+    for q in (*primes, p):
+        while order % q == 0 and fixed(order // q) == period:
+            order //= q
+        e = 0
+        while order % q ** (e + 1) == 0:
+            e += 1
+        divisors = [d * q**i for d in divisors for i in range(e + 1)]
+    points: dict[int, int] = {}
+    for t in sorted(divisors):
+        points[t] = fixed(t) - sum(n for d, n in points.items() if t % d == 0)
+    return {t: n // t for t, n in points.items() if n}
+
+
+def _walk_cycles(table: PermutationTable) -> CycleReport:
+    """Cycle decomposition by following every entry of the table."""
     image = table.image
     size = len(image)
     visited = bytearray(size)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import gcd
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, EnumerationBoundExceeded, InternalBijectivityViolation
 from .padic import PrimeBase, totient_prime_power, valuation
@@ -101,10 +101,29 @@ class PermutationTable:
         return len(self.image)
 
     def inverse_image(self) -> array:
-        inv = array(self.image.typecode, [0]) * len(self.image)
-        for x, z in enumerate(self.image):
-            inv[z] = x
-        return inv
+        """inv with inv[image[x']] == x', in image's typecode.
+
+        On the column path (see column_maps), code c = c0 + p**h * t comes
+        from column U = sigma^-1(c0) at v = (V + W * t) mod p**(l-h), with
+        W = beta_U**-1 and V = -W * tops[U]. So inv steps like the kernel:
+        inv(c0 + p**h * t) = (U + p**h * V + p**h * W * t) mod p**l.
+        Other blocks are inverted entry by entry.
+        """
+        cols = column_maps(self)
+        if cols is None:
+            inv = array(self.image.typecode, [0]) * len(self.image)
+            for x, z in enumerate(self.image):
+                inv[z] = x
+            return inv
+        span, period = cols.span, cols.period
+        heads, steps = [0] * span, [0] * span
+        for u, (c0, top, beta) in enumerate(zip(cols.sigma, cols.tops, cols.betas)):
+            w = pow(beta, -1, period)
+            heads[c0] = u + span * (-w * top % period)
+            steps[c0] = span * w
+        size = len(self.image)
+        return _collect(self.image.typecode,
+                        chain([heads], _affine_lanes(heads, steps, size)))
 
 
 def shift(power: PowerSpec, base: PrimeBase) -> int:
@@ -158,36 +177,43 @@ def _typecode(bound: int) -> str | None:
     return next((c for c in "BHILQ" if bound <= 1 << 8 * array(c).itemsize), None)
 
 
+def _kernel_width(params: CodingParams) -> int:
+    """Digits h of the block kernel's head: x' = u + p**h * v with u < p**h.
+
+    The smallest h with h + 1 >= a and 2*(h+1) >= a + l for the shift a, or
+    l when that reaches l or when lanes of 4 * p**l do not fit in 64 bits.
+    """
+    a, l = shift(params.power, params.p), params.l
+    h = max(a, (a + l + 1) // 2) - 1
+    if h >= l or _typecode(4 * params.size()) is None:
+        return l
+    return h
+
+
 def _code_chunks(params: CodingParams) -> Iterator[list[int] | array]:
     """The one enumeration kernel: every code of the block, in x' order, in chunks.
 
-    Write x' = u + p**h * v with u < p**h, so that x = y + p**(h+1) * v with
-    y = p*u + r. Once h + 1 >= a and 2*(h+1) >= a + l, for the shift a, every
-    binomial term of degree 2 or more in v vanishes mod p**(a+l), and
+    Write x' = u + p**h * v with u < p**h (h from _kernel_width), so that
+    x = y + p**(h+1) * v with y = p*u + r. Once h + 1 >= a and
+    2*(h+1) >= a + l, for the shift a, every binomial term of degree 2 or
+    more in v vanishes mod p**(a+l), and
 
         code(u, v) = (A_u + B_u * v) mod p**l,
 
     where A_u = code(u, 0) and B_u = n * y**(n-1) * p**(h+1-a) mod p**l. So
-    the block v = 0 costs one pow per u, and each later block of p**h codes
-    is the block before it plus B, less p**l wherever the sum reaches p**l.
-    Those steps run lane-wise on one int that packs a lane per u, and each
-    block is unpacked into an array. Lanes are used only when
-    4 * p**l <= 2**64; otherwise, and whenever the smallest such h reaches l,
-    h = l and every code is its own pow. The v = 0 block is yielded in
-    chunks of 1, 1, 2, 4, ... codes as they are computed, so a caller that
-    stops early pays only for what it takes.
+    the head pass, the block v = 0, costs one pow per u, and _affine_lanes
+    steps the later blocks. When h = l every code is its own pow. The v = 0
+    block is yielded in chunks of 1, 1, 2, 4, ... codes as they are
+    computed, so a caller that stops early pays only for what it takes.
     """
     p, n, r, l = params.p.p, params.power.n, params.r, params.l
     pa, modulus = _window_moduli(params)
-    a = shift(params.power, params.p)
     size = params.size()
-    lane = _typecode(4 * size)
-    h = max(a, (a + l + 1) // 2) - 1
-    if lane is None or h >= l:
-        h = l
+    h = _kernel_width(params)
     span = p**h
-    heads, steps = array("Q"), array("Q")
-    scale = n * p ** (h + 1 - a) if h < l else 0
+    heads: list[int] = []
+    steps: list[int] = []
+    scale = n * p ** (h + 1 - shift(params.power, params.p)) if h < l else 0
     start, count = 0, 1
     while start < span:
         ys = range(p * start + r, p * min(start + count, span) + r, p)
@@ -198,24 +224,46 @@ def _code_chunks(params: CodingParams) -> Iterator[list[int] | array]:
             steps.extend([scale * pow(y, n - 1, size) % size for y in ys])
         start += count
         count = min(2 * count, _HEAD_CHUNK)
-    if h == l:
-        return
-    # A lane of w bits holds t = cur + B < 2 * p**l <= 2**(w-1). Adding
-    # 2**(w-2) - p**l sets bit w-2 exactly where t >= p**l, with no carry
-    # into the next lane.
+    if h < l:
+        yield from _affine_lanes(heads, steps, size)
+
+
+def _affine_lanes(heads: list[int], steps: list[int], modulus: int) -> Iterator[array]:
+    """The blocks (heads[u] + t * steps[u]) mod modulus for t = 1, 2, ..., in order.
+
+    Yields modulus // len(heads) - 1 blocks. Each is the block before it
+    plus steps, less modulus wherever the sum reaches it, computed on one
+    int that packs a lane per u and unpacked into an array. Every heads[u]
+    and steps[u] must lie below modulus, and 4 * modulus must fit in 64 bits.
+    """
+    # A lane of w bits holds t = cur + step < 2 * modulus <= 2**(w-1). Adding
+    # 2**(w-2) - modulus sets bit w-2 exactly where t >= modulus, with no
+    # carry into the next lane.
+    lane = _typecode(4 * modulus)
+    span = len(heads)
     order, itemsize = sys.byteorder, array(lane).itemsize
     top = 8 * itemsize - 2
     ones = int.from_bytes((array(lane, [1]) * span).tobytes(), order)
-    bias = ones * ((1 << top) - size)
+    bias = ones * ((1 << top) - modulus)
     cur = int.from_bytes(array(lane, heads).tobytes(), order)
     step = int.from_bytes(array(lane, steps).tobytes(), order)
     nbytes = span * itemsize
-    for _ in range(p ** (l - h) - 1):
+    for _ in range(modulus // span - 1):
         t = cur + step
-        cur = t - (((t + bias) >> top) & ones) * size
+        cur = t - (((t + bias) >> top) & ones) * modulus
         block = array(lane)
         block.frombytes(cur.to_bytes(nbytes, order))
         yield block
+
+
+def _collect(typecode: str, chunks: Iterable[list[int] | array]) -> array:
+    """One array of the given typecode holding every chunk, in order."""
+    out = array(typecode)
+    for chunk in chunks:
+        if isinstance(chunk, array) and chunk.typecode != typecode:
+            chunk = chunk.tolist()  # the lanes are wider than the values
+        out.extend(chunk)
+    return out
 
 
 def iter_codes(params: CodingParams) -> Iterator[int]:
@@ -227,6 +275,14 @@ def iter_codes(params: CodingParams) -> Iterator[int]:
     return chain.from_iterable(_code_chunks(params))
 
 
+def check_enumeration(entries: int, max_entries: int) -> None:
+    """Raise EnumerationBoundExceeded when entries > max_entries."""
+    if entries > max_entries:
+        raise EnumerationBoundExceeded(
+            f"enumeration would need {entries} entries; bound is {max_entries}"
+        )
+
+
 def code_array(params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES) -> array:
     """Every code of the block in x' order, in the smallest array that holds them.
 
@@ -236,17 +292,50 @@ def code_array(params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES) -> ar
     Raises EnumerationBoundExceeded when p**l > max_entries.
     """
     size = params.size()
-    if size > max_entries:
-        raise EnumerationBoundExceeded(
-            f"enumeration would need {size} entries; bound is {max_entries}"
-        )
-    typecode = _typecode(size) or "Q"
-    codes = array(typecode)
-    for chunk in _code_chunks(params):
-        if isinstance(chunk, array) and chunk.typecode != typecode:
-            chunk = chunk.tolist()  # the lanes are wider than the codes
-        codes.extend(chunk)
-    return codes
+    check_enumeration(size, max_entries)
+    return _collect(_typecode(size) or "Q", _code_chunks(params))
+
+
+class ColumnMaps(NamedTuple):
+    """A block permutation f as affine maps between the columns of its kernel.
+
+    For u < span = p**h and v < period = p**(l-h),
+
+        f(u + span * v) = sigma[u] + span * ((tops[u] + betas[u] * v) mod period),
+
+    with every betas[u] a unit mod period, so sigma permutes the columns.
+    """
+
+    span: int
+    period: int
+    sigma: list[int]
+    tops: list[int]
+    betas: list[int]
+
+
+def column_maps(table: PermutationTable) -> ColumnMaps | None:
+    """The column maps of a table, or None where the block has none.
+
+    The kernel's B_u is p**h * q * y**(n-1) for odd p, or for p == 2 with
+    k == 0, and y is a unit, so each column maps onto one column. They are
+    read off the table: A_u = image[u] and B_u = image[u + p**h] - A_u mod
+    p**l. For p == 2 with k >= 1, B_u has valuation h - 1 and sigma is not
+    a permutation; there, and where the kernel's h reaches l, this is None.
+    """
+    params, image = table.params, table.image
+    h = _kernel_width(params)
+    if h == params.l or (params.p.p == 2 and params.power.k):
+        return None
+    span = params.p.p**h
+    size = len(image)
+    heads = image[:span].tolist()
+    return ColumnMaps(
+        span=span,
+        period=size // span,
+        sigma=[a % span for a in heads],
+        tops=[a // span for a in heads],
+        betas=[(b - a) % size // span for a, b in zip(heads, image[span:2 * span])],
+    )
 
 
 def first_collision(codes: array) -> tuple[int, int] | None:
@@ -401,10 +490,7 @@ def roots(
     v = valuation(z, base)
     if v % n:
         return []
-    if p - 1 > max_entries:
-        raise EnumerationBoundExceeded(
-            f"enumeration would need {p - 1} entries; bound is {max_entries}"
-        )
+    check_enumeration(p - 1, max_entries)
     j = v // n
     w = z // p**v
     pa = p ** shift(power, base)

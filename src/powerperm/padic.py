@@ -69,10 +69,20 @@ def valuation(x: int, base: PrimeBase) -> int:
     if x <= 0:
         raise DomainError("valuation requires a positive integer")
     p = base.p
-    e = 0
-    while x % p == 0:
-        x //= p
-        e += 1
+    if p == 2:
+        return (x & -x).bit_length() - 1
+    # Divide by p, p**2, p**4, ... while they divide; the rest of the
+    # valuation is then below the last exponent tried, and its binary digits
+    # come from the same powers in reverse. O(log v) divisions in all.
+    e, powers = 0, [p]
+    while x % powers[-1] == 0:
+        x //= powers[-1]
+        e += 1 << (len(powers) - 1)
+        powers.append(powers[-1] ** 2)
+    for i in reversed(range(len(powers) - 1)):
+        if x % powers[i] == 0:
+            x //= powers[i]
+            e += 1 << i
     return e
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 import time
@@ -231,6 +232,32 @@ def test_encode_huge_exponent_finishes_quickly():
     assert proc.stdout == f"{pow(11, 10**7, 2**73) // 2**9}\n"
 
 
+def test_root_of_a_huge_power_of_two_finishes_quickly():
+    # z = 2**330000 has 99,340 digits, and its valuation is one bit operation
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    z = 2**330000
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "powerperm", "root",
+             "--p", "2", "--n", "2", "--l", "4", "--z", str(z)],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 0
+        found = re.findall(r"^x = (\d+) \(mod (\d+)\)", proc.stdout, re.M)
+        assert len(found) == 2
+        for x, modulus in found:
+            assert int(modulus) == 2 ** (165000 + 6)
+            assert pow(int(x), 2, 2 ** (330000 + 3 + 4)) == z
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_rejects_composite_base(capsys):
     code, _, err = run(
         capsys, "encode", "--p", "9", "--n", "3", "--l", "2", "--r", "1",
@@ -394,6 +421,24 @@ def test_verify_plain(capsys):
     assert lines[-1] == "all pass (8 tables)"
 
 
+def test_verify_audits_each_block_once(capsys, monkeypatch):
+    # encode does not depend on j, so the j = 0 and j = 1 rows share one audit
+    from powerperm import analysis
+
+    audited = []
+    real = analysis.audit_bijectivity
+
+    def counting(params, max_entries):
+        audited.append((params.l, params.r))
+        return real(params, max_entries)
+
+    monkeypatch.setattr(analysis, "audit_bijectivity", counting)
+    code, out, _ = run(capsys, "verify", "--p", "5", "--n", "3", "--lmax", "2")
+    assert code == 0
+    assert audited == [(l, r) for l in (1, 2) for r in range(1, 5)]
+    assert out.splitlines()[-1] == "all pass (16 tables)"
+
+
 def test_verify_csv(capsys):
     code, out, _ = run(
         capsys, "verify", "--p", "2", "--n", "2", "--lmax", "3",
@@ -513,6 +558,18 @@ def test_plotdata_is_byte_stable(capsys, tmp_path):
         )
     assert a.read_bytes() == b.read_bytes()
     assert b"\r" not in a.read_bytes()
+
+
+def test_plotdata_past_the_bound_writes_no_file(capsys, tmp_path):
+    path = tmp_path / "scatter.csv"
+    code, out, err = run(
+        capsys, "plotdata", "--p", "2", "--n", "3", "--l", "4", "--r", "1",
+        "--out", str(path), "--max-table-bits", "3",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: enumeration would need 16 entries; bound is 8\n"
+    assert not path.exists()
 
 
 def test_plotdata_requires_out(capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -108,6 +110,23 @@ def test_valuation_is_exact(x, p):
     v = padic.valuation(x, base)
     assert x % p**v == 0
     assert x % p ** (v + 1) != 0
+
+
+def test_valuation_of_large_powers():
+    # the doubling and halving passes must land on every exponent exactly
+    for p in PRIMES:
+        base = padic.PrimeBase(p)
+        for v in [*range(70), 127, 128, 1000, 4097]:
+            for w in (1, p - 1, p + 1, 10**30 * p + 1):
+                assert padic.valuation(p**v * w, base) == v, (p, v, w)
+
+
+def test_valuation_of_a_huge_power_of_three_is_quick():
+    base = padic.PrimeBase(3)
+    start = time.perf_counter()
+    assert padic.valuation(3**200000 * 2, base) == 200000
+    assert padic.valuation(3**200000 * 2 + 3, base) == 1
+    assert time.perf_counter() - start < 5
 
 
 # -------------------------------------------------------------- decompose

@@ -91,7 +91,7 @@ def cmd_encode(ns: argparse.Namespace) -> int:
 
 
 def cmd_decode(ns: argparse.Namespace) -> int:
-    x = coding.decode(_coding_params(ns), ns.code, max_entries=_max_entries(ns))
+    x = coding.decode(_coding_params(ns), ns.code)
     _render(ns, _coding_obj(ns, code=ns.code, x=x), "code,x", [(ns.code, x)],
             lambda: [str(x)])
     return _EXIT_OK

@@ -12,19 +12,16 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
-from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, EnumerationBoundExceeded, InternalBijectivityViolation
-from .padic import PrimeBase, totient_prime_power, valuation
+from .padic import PrimeBase, valuation
 
 # Full-table enumeration refuses to build more than 2**TABLE_BITS entries
-# unless told otherwise; decode inverts a table only up to 2**20 entries.
+# unless told otherwise.
 TABLE_BITS = 24
 MAX_TABLE_ENTRIES = 1 << TABLE_BITS
-DECODE_TABLE_LIMIT = 1 << 20
 # Largest chunk in which the enumeration kernel hands out per-entry powers.
 _HEAD_CHUNK = 1 << 12
 
@@ -377,22 +374,6 @@ def permutation_table(
     return PermutationTable(params=params, image=image)
 
 
-def decode_exponent(params: CodingParams) -> int:
-    """Inverse exponent s for the unit part q of n.
-
-    Computed as the inverse of q modulo phi(p**L) when gcd(q, p-1) == 1 and
-    modulo p**(L-1) otherwise, with L = l + shift. Either way q*s is 1
-    modulo p**l, which is what the decode path needs on the subgroup of
-    integers congruent to 1 mod p. When k == 0 and gcd(n, p-1) == 1 the
-    stronger identity (x**n)**s == x holds for every unit x below p**L.
-    """
-    p, pw = params.p.p, params.power
-    big = params.l + shift(pw, params.p)
-    modulus = (totient_prime_power(params.p, big) if gcd(pw.q, p - 1) == 1
-               else p ** (big - 1))
-    return pow(pw.q, -1, modulus)
-
-
 def _low_window_value(params: CodingParams, code: int) -> int:
     # x_u**n agrees with r**n on every digit below the shift, so x_u**n mod
     # p**(shift+l) is r**n's tail plus the code placed at the shift.
@@ -402,12 +383,13 @@ def _low_window_value(params: CodingParams, code: int) -> int:
 
 def _decode_unit_exponent(params: CodingParams, code: int) -> int:
     # k == 0: one modular exponentiation inverts the whole map. Divide out
-    # the residue to land in the 1 mod p subgroup, where orders divide p**l.
+    # the residue to land in the subgroup 1 + pZ mod p**(l+1), whose order
+    # is p**l, so the inverse of n modulo p**l undoes the power there.
     p, n = params.p.p, params.power.n
     big = p ** (params.l + 1)
     w = _low_window_value(params, code)
     v = w * pow(pow(params.r, n, big), -1, big) % big
-    xu = params.r * pow(v, decode_exponent(params), big) % big
+    xu = params.r * pow(v, pow(params.power.q, -1, p**params.l), big) % big
     if xu % p != params.r:
         raise InternalBijectivityViolation(f"recovered unit {xu} off-coset")
     return (xu - params.r) // p
@@ -443,23 +425,15 @@ def _decode_lift(params: CodingParams, code: int) -> int:
     return (final[0] - params.r) // p
 
 
-@lru_cache(maxsize=8)
-def _cached_inverse(params: CodingParams) -> array:
-    return permutation_table(params).inverse_image()
+def decode(params: CodingParams, code: int) -> int:
+    """The unique x' with encode(params, x') == code, without building a table.
 
-
-def decode(params: CodingParams, code: int, max_entries: int = MAX_TABLE_ENTRIES) -> int:
-    """The unique x' with encode(params, x') == code.
-
-    A block of at most min(2**20, max_entries) values is inverted through a
-    full enumeration, cached per params. A larger one takes the scalable
-    path: one modular inverse exponent when p does not divide n, digit-wise
-    lifting otherwise.
+    One modular inverse exponent when p does not divide n, digit-wise
+    lifting otherwise. Bulk callers invert a whole block with
+    permutation_table(params).inverse_image().
     """
     if not 0 <= code < params.size():
         raise DomainError(f"code must lie in [0, {params.size()}); got {code}")
-    if params.size() <= min(DECODE_TABLE_LIMIT, max_entries):
-        return _cached_inverse(params)[code]
     if params.power.k == 0:
         return _decode_unit_exponent(params, code)
     return _decode_lift(params, code)
@@ -499,7 +473,7 @@ def roots(
         if pow(r, n, pa) != w % pa:
             continue
         params = CodingParams(p=base, power=power, l=l, r=r, j=j)
-        xp = decode(params, w // pa % params.size(), max_entries)
+        xp = decode(params, w // pa % params.size())
         unit = p * xp + r
         if p == 2 and power.k:
             top = 2 ** (l + 2)

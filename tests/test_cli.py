@@ -201,7 +201,7 @@ def test_encode_decode_json(capsys):
 
 
 def test_decode_past_a_small_table_bound_takes_scalable_path(capsys):
-    # 2**15 codes exceed a 2**10-entry bound, so decode inverts arithmetically
+    # decode builds no table, so a 2**10-entry bound does not stop a 2**15 block
     code, out, err = run(
         capsys, "decode", "--p", "2", "--n", "3", "--l", "15", "--r", "1",
         "--code", "5", "--max-table-bits", "10",

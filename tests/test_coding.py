@@ -19,7 +19,6 @@ from powerperm.coding import (
     code_array,
     compose_decomposition,
     decode,
-    decode_exponent,
     encode,
     encode_via_composition,
     extended_shift,
@@ -188,7 +187,6 @@ def test_top_of_range_block():
         z = encode(params, top)
         assert 0 <= z < params.size()
         assert decode(params, z) == top
-        assert decode(params, z, max_entries=1) == top  # the scalable path
 
 
 # ------------------------------------------------------------------- tables
@@ -438,30 +436,55 @@ DECODE_GRID = [
 
 
 def test_decode_strategies_agree_exhaustively():
-    # the enumeration's inverse and the scalable path (forced by a bound of
-    # one entry) both invert every code
+    # the enumeration's inverse and decode both invert every code
     for p, n, l, r, j in DECODE_GRID:
         params = CodingParams.make(p=p, n=n, l=l, r=r, j=j)
         image = list(iter_codes(params))
         inverse = permutation_table(params).inverse_image()
         for xp, z in enumerate(image):
             assert decode(params, z) == inverse[z] == xp, (p, n, l, r, xp)
-            assert decode(params, z, max_entries=1) == xp, (p, n, l, r, xp)
 
 
-def test_decode_builds_no_table_past_its_bound(monkeypatch):
-    def no_table(params):
+def test_decode_inverts_every_code_on_a_grid():
+    # Every code of every block with p <= 13, n <= 25, every r and
+    # p**l <= 2**10, against the table's inverse.
+    blocks = lifted = codes = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        l_max = next(l for l in range(1, 11) if p ** (l + 1) > 2**10)
+        for n in range(1, 26):
+            for l in range(1, l_max + 1):
+                for r in range(1, p):
+                    params = CodingParams.make(p=p, n=n, l=l, r=r)
+                    inverse = permutation_table(params).inverse_image()
+                    for z, xp in enumerate(inverse):
+                        assert decode(params, z) == xp, (p, n, l, r, z)
+                    blocks += 1
+                    lifted += params.power.k >= 1
+                    codes += len(inverse)
+    # pinned so that the grid cannot shrink unnoticed
+    assert (blocks, lifted, codes) == (2500, 414, 331200)
+
+
+def test_decode_builds_no_table(monkeypatch):
+    # code_array is the one enumeration behind every table
+    def no_table(params, max_entries=coding.MAX_TABLE_ENTRIES):
         raise AssertionError(f"decode built a table for {params}")
 
-    monkeypatch.setattr(coding, "_cached_inverse", no_table)
+    monkeypatch.setattr(coding, "code_array", no_table)
     params = CodingParams.make(p=2, n=3, l=15, r=1)  # one inverse exponent
-    assert decode(params, 5, max_entries=2**10) == 30185
+    assert decode(params, 5) == 30185
     params = CodingParams.make(p=3, n=6, l=5, r=2)  # digit lifting
-    assert decode(params, encode(params, 200), max_entries=3**5 - 1) == 200
+    assert decode(params, encode(params, 200)) == 200
+    params = CodingParams.make(p=2, n=6, l=10, r=1)  # a 2**10 block, lifting
+    assert decode(params, encode(params, 777)) == 777
+    # 8 has three cube roots mod 1000003, and each decodes a 1000003-value block
+    found = roots(PrimeBase(1000003), 3, 1, 8)
+    assert len(found) == 3
+    assert all(pow(c.x, 3, c.modulus) == 8 % c.modulus for c in found)
 
 
 def test_decode_auto_uses_scalable_path_for_wide_blocks():
-    # 2**40 entries cannot be tabulated; auto must still answer
+    # 2**40 entries cannot be tabulated; decode must still answer
     params = CodingParams.make(p=2, n=4, l=40, r=1)
     for xp in (0, 1, 2**39 + 12345, 2**40 - 1):
         assert decode(params, encode(params, xp)) == xp
@@ -473,28 +496,13 @@ def test_decode_auto_uses_scalable_path_for_wide_blocks():
 # --------------------------------------------------------- decode exponent
 
 
-def test_decode_exponent_examples():
-    assert decode_exponent(CodingParams.make(p=3, n=5, l=2, r=1)) == 11
-    assert decode_exponent(CodingParams.make(p=5, n=1, l=1, r=1)) == 1
-
-
-def test_decode_exponent_strong_round_trip_when_coprime():
-    # with k = 0 and gcd(n, p-1) = 1 the exponent inverts the power map on
-    # every unit below p**(l+1), not just on the fixed coset
-    params = CodingParams.make(p=3, n=5, l=2, r=1)
-    s = decode_exponent(params)
-    m = 3**3
-    for x in range(1, m):
-        if x % 3:
-            assert pow(pow(x, 5, m), s, m) == x
-
-
 def test_decode_exponent_inverts_unit_part_on_coset():
-    # general contract: q*s acts as identity on the 1 mod p subgroup
+    # the subgroup 1 + pZ mod p**(l+1) has order p**l, so the inverse of q
+    # modulo p**l undoes the q-th power on it
     for p, n, l in [(3, 2, 3), (5, 2, 2), (2, 3, 4), (3, 6, 2), (2, 12, 3)]:
         params = CodingParams.make(p=p, n=n, l=l, r=1)
-        s = decode_exponent(params)
         q = params.power.q
+        s = pow(q, -1, p**l)
         m = p ** (l + 1)
         for v in range(1, m, p):
             assert pow(pow(v, q, m), s, m) == v, (p, n, l, v)
@@ -506,7 +514,7 @@ def test_decode_exponent_inverts_unit_part_on_coset():
 def test_roots_hold_for_every_unit_on_a_grid():
     # For every unit below p**(l+3) and j in {0, 1}: some class contains the
     # true x, and the powers of a class agree with z on the window and below
-    # it. A bound of p - 1 entries sends every decode down the scalable path.
+    # it. A bound of p - 1 entries is the tightest the residue scan allows.
     queries = 0
     for p, lmax in ((2, 4), (3, 2), (5, 1), (7, 1)):
         base = PrimeBase(p)
@@ -647,7 +655,6 @@ def test_round_trip_property(data):
     xp = data.draw(st.integers(0, params.size() - 1))
     z = encode(params, xp)
     assert 0 <= z < params.size()
-    assert decode(params, z, max_entries=1) == xp  # the scalable path
     assert decode(params, z) == permutation_table(params).inverse_image()[z] == xp
 
 

@@ -77,18 +77,27 @@ def kummer_carries(base: PrimeBase, top: int, bottom: int) -> ValuationReport:
 def valuation_legendre(base: PrimeBase, top: int, bottom: int) -> ValuationReport:
     """Valuation via Legendre's formula for factorials.
 
-    v_p(m!) = sum over i of floor(m / p**i), and the coefficient valuation is
+    In digit-sum form v_p(m!) = (m - s_p(m)) / (p - 1), where s_p(m) is the
+    sum of m's base-p digits, and the coefficient valuation is
     v_p(top!) - v_p(bottom!) - v_p((top-bottom)!).
     """
     _check_pair(top, bottom)
+    p = base.p
+    # squares[i] = p**(2**i), up to the largest that is at most top
+    squares = [p]
+    while squares[-1] ** 2 <= top:
+        squares.append(squares[-1] ** 2)
+
+    def digit_sum(m: int, i: int) -> int:
+        # m < p**(2**(i+1)): split it into halves of 2**i digits each, so the
+        # whole sum costs a few divisions per level rather than one per digit.
+        if m < p:
+            return m
+        high, low = divmod(m, squares[i])
+        return digit_sum(high, i - 1) + digit_sum(low, i - 1)
 
     def fact_val(m: int) -> int:
-        total = 0
-        q = base.p
-        while q <= m:
-            total += m // q
-            q *= base.p
-        return total
+        return (m - digit_sum(m, len(squares) - 1)) // (p - 1)
 
     val = fact_val(top) - fact_val(bottom) - fact_val(top - bottom)
     return ValuationReport(base, top, bottom, val, "legendre")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from array import array
 from contextlib import nullcontext
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator
@@ -36,14 +37,23 @@ def _render(ns: argparse.Namespace, obj: dict, header: str,
             rows: Iterable[Iterable], plain: Callable[[], Iterable[str]]) -> None:
     """Write one result to --out or stdout in the format --format names.
 
-    obj is the JSON object (arrays are written as lists), header and rows
-    the CSV form, and plain yields the plain text in pieces, so that a large
-    table is turned into text only once, in the format asked for. CSV and
-    plain text are written as they are formatted; JSON is built whole.
+    obj is the JSON object (an array value is written as a list), header
+    and rows the CSV form, and plain yields the plain text in pieces, so
+    that a large table is turned into text only once, in the format asked
+    for. Every format is written as it is formatted, a few thousand values
+    at a time.
     """
     with open(ns.out, "w", newline="\n") if ns.out else nullcontext(sys.stdout) as fh:
         if ns.format == "json":
-            fh.write(json.dumps(obj, separators=(", ", ": "), default=list))
+            lead = "{"
+            for key, value in obj.items():
+                fh.write(f"{lead}{json.dumps(key)}: ")
+                if isinstance(value, array):
+                    fh.writelines(chain(["["], _joined(", ", map(str, value)), ["]"]))
+                else:
+                    fh.write(json.dumps(value, separators=(", ", ": ")))
+                lead = ", "
+            fh.write("}")
         elif ns.format == "csv":
             fh.writelines(_joined("\n", chain(
                 [header], (",".join(map(str, row)) for row in rows))))

@@ -384,7 +384,7 @@ def _low_window_value(params: CodingParams, code: int) -> int:
 def _decode_unit_exponent(params: CodingParams, code: int) -> int:
     # k == 0: one modular exponentiation inverts the whole map. Divide out
     # the residue to land in the subgroup 1 + pZ mod p**(l+1), whose order
-    # is p**l, so the inverse of n modulo p**l undoes the power there.
+    # is p**l, so the inverse of q = n modulo p**l undoes the power there.
     p, n = params.p.p, params.power.n
     big = p ** (params.l + 1)
     w = _low_window_value(params, code)

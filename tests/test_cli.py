@@ -8,7 +8,9 @@ import time
 
 import pytest
 
+from powerperm import binomial
 from powerperm.cli import main
+from powerperm.padic import PrimeBase
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -485,6 +487,31 @@ def test_valuation_skips_direct_beyond_bound(capsys):
     )
     assert code == 0
     assert out == "kummer=3 legendre=3 AGREE\n"
+
+
+def test_valuation_of_a_huge_top_finishes_quickly():
+    # 20,001 digits: Legendre's route sums top's digits by splitting it in
+    # halves, instead of dividing all of top by each p**i
+    top, bottom = 10**20000 + 12345, 12345
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        for p in (2, 3):
+            proc = subprocess.run(
+                [sys.executable, "-m", "powerperm", "valuation",
+                 "--p", str(p), "--top", str(top), "--bottom", str(bottom)],
+                capture_output=True,
+                text=True,
+                timeout=20,
+            )
+            assert proc.returncode == 0, proc.stderr
+            v = binomial.kummer_carries(PrimeBase(p), top, bottom).valuation
+            assert proc.stdout == f"kummer={v} legendre={v} AGREE\n"
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_valuation_csv(capsys):

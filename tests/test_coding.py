@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 import time
@@ -252,12 +253,9 @@ def test_wide_table_stays_compact():
     assert int(proc.stdout) < 50 * 1024
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
-def test_wide_csv_table_streams(tmp_path):
-    # 2**22 rows of csv, about 60 MB of text: the kernel fills a 16 MB array
-    # and the renderer writes rows as it formats them. VmHWM is the CLI
-    # process's own peak RSS in KiB.
-    out = tmp_path / "table.csv"
+def wide_table_peak_kib(fmt: str, out) -> int:
+    # Writes the p=2 n=3 l=22 table to out through the CLI in a child
+    # process, in under 10 s, and returns VmHWM, the child's own peak RSS.
     code = (
         "import sys\n"
         "from powerperm.cli import main\n"
@@ -267,7 +265,7 @@ def test_wide_csv_table_streams(tmp_path):
         "sys.exit(rc)\n"
     )
     argv = ["table", "--p", "2", "--n", "3", "--l", "22", "--r", "1",
-            "--format", "csv", "--out", str(out)]
+            "--format", fmt, "--out", str(out)]
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120
@@ -275,13 +273,41 @@ def test_wide_csv_table_streams(tmp_path):
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 10
-    assert int(proc.stdout) < 60 * 1024
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_wide_csv_table_streams(tmp_path):
+    # 2**22 rows of csv, about 60 MB of text: the kernel fills a 16 MB array
+    # and the renderer writes rows as it formats them.
+    out = tmp_path / "table.csv"
+    assert wide_table_peak_kib("csv", out) < 60 * 1024
     params = CodingParams.make(p=2, n=3, l=22, r=1)
     last = params.size() - 1
     with open(out, "rb") as fh:
         assert fh.readline() == b"x,z\n"
         fh.seek(-64, 2)
         assert fh.read().endswith(f"\n{last},{encode(params, last)}\n".encode())
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_wide_json_table_streams(tmp_path):
+    # 2**22 values of json, about 37 MB of text: the array is written a few
+    # thousand values at a time, as it is for csv.
+    out = tmp_path / "table.json"
+    assert wide_table_peak_kib("json", out) < 60 * 1024
+    params = CodingParams.make(p=2, n=3, l=22, r=1)
+    last = params.size() - 1
+    with open(out, "rb") as fh:
+        head = b'{"p": 2, "n": 3, "l": 22, "r": 1, "j": 0, "alpha": 1, "image": [0, '
+        assert fh.read(len(head)) == head
+        fh.seek(-64, 2)
+        assert fh.read().endswith(f", {encode(params, last)}]}}\n".encode())
+    # parse_int=len keeps every parsed number a small cached int
+    with open(out) as fh:
+        payload = json.load(fh, parse_int=len)
+    assert list(payload) == ["p", "n", "l", "r", "j", "alpha", "image"]
+    assert len(payload["image"]) == params.size()
 
 
 def test_table_bound():
@@ -467,7 +493,7 @@ def test_decode_inverts_every_code_on_a_grid():
 
 def test_decode_builds_no_table(monkeypatch):
     # code_array is the one enumeration behind every table
-    def no_table(params, max_entries=coding.MAX_TABLE_ENTRIES):
+    def no_table(params, *args):
         raise AssertionError(f"decode built a table for {params}")
 
     monkeypatch.setattr(coding, "code_array", no_table)

@@ -44,7 +44,7 @@ from .errors import (
     InternalBijectivityViolation,
     PowerPermError,
 )
-from .padic import PrimeBase, totient_prime_power, valuation
+from .padic import PrimeBase, valuation
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "reconstruct",
     "roots",
     "shift",
-    "totient_prime_power",
     "valuation",
     "valuation_direct",
     "valuation_legendre",

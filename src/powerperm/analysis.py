@@ -13,9 +13,9 @@ from .coding import (
     MAX_TABLE_ENTRIES,
     CodingParams,
     PermutationTable,
+    block_collision,
     code_array,
     column_maps,
-    first_collision,
 )
 
 
@@ -78,9 +78,11 @@ def audit_bijectivity(
 ) -> AuditResult:
     """Enumerate every output and report the first duplicate, if any.
 
-    Memory is the code array plus one byte per block value for the scan.
+    The kernel's column law certifies most blocks without a per-entry scan
+    (see coding.block_collision). Memory is the code array, plus one byte
+    per block value where the scan runs.
     """
-    collision = first_collision(code_array(params, max_entries))
+    collision = block_collision(params, code_array(params, max_entries))
     return AuditResult(params, ok=collision is None, collision=collision)
 
 

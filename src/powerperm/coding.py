@@ -104,10 +104,13 @@ class PermutationTable:
         from column U = sigma^-1(c0) at v = (V + W * t) mod p**(l-h), with
         W = beta_U**-1 and V = -W * tops[U]. So inv steps like the kernel:
         inv(c0 + p**h * t) = (U + p**h * V + p**h * W * t) mod p**l.
-        Other blocks are inverted entry by entry.
+        Blocks with p == 2 and k >= 1 are inverted by the sign fold (see
+        _fold_inverse); the rest entry by entry.
         """
         cols = column_maps(self)
         if cols is None:
+            if _has_sign_fold(self.params):
+                return _fold_inverse(self)
             inv = array(self.image.typecode, [0]) * len(self.image)
             for x, z in enumerate(self.image):
                 inv[z] = x
@@ -225,41 +228,74 @@ def _code_chunks(params: CodingParams) -> Iterator[list[int] | array]:
         yield from _affine_lanes(heads, steps, size)
 
 
-def _affine_lanes(heads: list[int], steps: list[int], modulus: int) -> Iterator[array]:
-    """The blocks (heads[u] + t * steps[u]) mod modulus for t = 1, 2, ..., in order.
+def _pack(lane: str, values: list[int] | array) -> int:
+    """values as one int with a lane per value: the bytes of array(lane, values)."""
+    return int.from_bytes(array(lane, values).tobytes(), sys.byteorder)
 
-    Yields modulus // len(heads) - 1 blocks. Each is the block before it
-    plus steps, less modulus wherever the sum reaches it, computed on one
-    int that packs a lane per u and unpacked into an array. Every heads[u]
-    and steps[u] must lie below modulus, and 4 * modulus must fit in 64 bits.
+
+def _packed_lanes(
+    heads: list[int] | array, steps: list[int] | array, modulus: int, blocks: int
+) -> Iterator[int]:
+    """The blocks (heads[u] + t * steps[u]) mod modulus for t = 1, ..., blocks.
+
+    Each block is one int packed by _pack in lanes of _typecode(4 * modulus),
+    and is the block before it plus steps, less modulus wherever the sum
+    reaches it. Every heads[u] and steps[u] must lie below modulus, and
+    4 * modulus must fit in 64 bits.
     """
     # A lane of w bits holds t = cur + step < 2 * modulus <= 2**(w-1). Adding
     # 2**(w-2) - modulus sets bit w-2 exactly where t >= modulus, with no
     # carry into the next lane.
     lane = _typecode(4 * modulus)
-    span = len(heads)
-    order, itemsize = sys.byteorder, array(lane).itemsize
-    top = 8 * itemsize - 2
-    ones = int.from_bytes((array(lane, [1]) * span).tobytes(), order)
+    top = 8 * array(lane).itemsize - 2
+    ones = _pack(lane, [1] * len(heads))
     bias = ones * ((1 << top) - modulus)
-    cur = int.from_bytes(array(lane, heads).tobytes(), order)
-    step = int.from_bytes(array(lane, steps).tobytes(), order)
-    nbytes = span * itemsize
-    for _ in range(modulus // span - 1):
+    cur, step = _pack(lane, heads), _pack(lane, steps)
+    for _ in range(blocks):
         t = cur + step
         cur = t - (((t + bias) >> top) & ones) * modulus
+        yield cur
+
+
+def _unpacked(lane: str, span: int, packed: Iterable[int]) -> Iterator[array]:
+    """Each packed block of span lanes as an array of typecode lane."""
+    nbytes = span * array(lane).itemsize
+    for cur in packed:
         block = array(lane)
-        block.frombytes(cur.to_bytes(nbytes, order))
+        block.frombytes(cur.to_bytes(nbytes, sys.byteorder))
         yield block
 
 
+def _affine_lanes(heads: list[int], steps: list[int], modulus: int) -> Iterator[array]:
+    """The blocks (heads[u] + t * steps[u]) mod modulus for t = 1, 2, ..., in order.
+
+    Yields modulus // len(heads) - 1 blocks from _packed_lanes, each an
+    array of typecode _typecode(4 * modulus).
+    """
+    span = len(heads)
+    packed = _packed_lanes(heads, steps, modulus, modulus // span - 1)
+    return _unpacked(_typecode(4 * modulus), span, packed)
+
+
 def _collect(typecode: str, chunks: Iterable[list[int] | array]) -> array:
-    """One array of the given typecode holding every chunk, in order."""
+    """One array of the given typecode holding every chunk, in order.
+
+    An array chunk of another typecode holds lanes wider than the values; it
+    is narrowed by copying the low bytes of every item, not item by item.
+    """
     out = array(typecode)
+    size = out.itemsize
     for chunk in chunks:
         if isinstance(chunk, array) and chunk.typecode != typecode:
-            chunk = chunk.tolist()  # the lanes are wider than the values
-        out.extend(chunk)
+            wide = chunk.itemsize
+            low = 0 if sys.byteorder == "little" else wide - size
+            narrow = bytearray(len(chunk) * size)
+            raw = memoryview(chunk).cast("B")
+            for i in range(size):
+                narrow[i::size] = raw[low + i::wide]
+            out.frombytes(narrow)
+        else:
+            out.extend(chunk)
     return out
 
 
@@ -335,6 +371,90 @@ def column_maps(table: PermutationTable) -> ColumnMaps | None:
     )
 
 
+def _has_sign_fold(params: CodingParams) -> bool:
+    """Whether _fold_inverse applies: p == 2 with k >= 1 and the kernel's h < l."""
+    return params.p.p == 2 and params.power.k > 0 and _kernel_width(params) < params.l
+
+
+def _fold_inverse(table: PermutationTable) -> array:
+    """inverse_image for p == 2 with k >= 1, stepped lane-wise like the kernel.
+
+    There B_u = 2**(h-1) * b_u with b_u odd. On the doubled domain
+    x'_ext < 2**(l+1), where the kernel's law still holds, column U covers
+    the whole coset of c0 = A_U mod 2**(h-1): code c0 + 2**(h-1) * t comes
+    from x'_ext = U + 2**h * ((V + W * t) mod 2**(l-h+1)), with W = b_U**-1
+    and V = -W * (A_U // 2**(h-1)). The columns u < 2**(h-1) take each c0
+    once. x = 2*x' + 1 and -x share their power, so x'_ext >= 2**l folds to
+    2**(l+1) - 1 - x'_ext: its low l + 1 bits flipped.
+    """
+    params, image = table.params, table.image
+    size, h = len(image), _kernel_width(params)
+    half, period = 1 << (h - 1), size >> (h - 1)
+    heads, steps = [0] * half, [0] * half
+    for u, (a, b) in enumerate(zip(image[:half], image[2 * half:3 * half])):
+        w = pow((b - a) % size >> (h - 1), -1, period)
+        heads[a % half] = u + 2 * half * (-w * (a >> (h - 1)) % period)
+        steps[a % half] = 2 * half * w
+    lane = _typecode(8 * size)
+    ones = _pack(lane, [1] * half)
+    packed = chain([_pack(lane, heads)], _packed_lanes(heads, steps, 2 * size, period - 1))
+    folded = (e ^ ((e >> params.l) & ones) * (2 * size - 1) for e in packed)
+    return _collect(image.typecode, _unpacked(lane, half, folded))
+
+
+def _column_law_certifies(params: CodingParams, codes: array) -> bool:
+    """True when codes provably holds each of 0, ..., p**l - 1 once.
+
+    With h = _kernel_width(params), A_u = codes[u] and B_u = codes[u + p**h]
+    - A_u mod p**l, every later block of p**h codes must equal the block
+    before it plus B, mod p**l, lane by lane, as _packed_lanes steps it. Then
+    codes[u + p**h * v] = (A_u + B_u * v) mod p**l for every u and v, and:
+
+    - for odd p, or p == 2 with k == 0, column u covers the coset of A_u mod
+      p**h once when B_u is p**h times a unit, so heads distinct mod p**h
+      make a permutation;
+    - for p == 2 with k >= 1, column u covers half the coset of A_u mod
+      2**(h-1) when B_u is 2**(h-1) times an odd number, and its partner
+      u* = 2**h - 1 - u (the fold x <-> -x) covers the other half when
+      A_u* = A_u - B_u and B_u* = -B_u mod 2**l. So the pairs of the u below
+      2**(h-1), with heads distinct mod 2**(h-1), make a permutation.
+
+    False when a test fails, when h == l, or when the kernel's lanes are
+    wider than the codes.
+    """
+    p, size = params.p.p, len(codes)
+    h = _kernel_width(params)
+    if h == params.l or size != params.size() or codes.typecode != _typecode(4 * size):
+        return False
+    span = p**h
+    # heads and steps stay arrays, so the check holds less than the scan's
+    # byte per entry
+    heads = codes[:span]
+    if max(heads) >= size:  # so that no lane overflows
+        return False
+    steps = array(codes.typecode, ((b - a) % size for a, b in zip(heads, codes[span:2 * span])))
+    raw, nbytes = memoryview(codes).cast("B"), span * codes.itemsize
+    offsets = range(nbytes, len(raw), nbytes)
+    for i, cur in zip(offsets, _packed_lanes(heads, steps, size, len(offsets))):
+        if cur != int.from_bytes(raw[i:i + nbytes], sys.byteorder):
+            return False
+    if p == 2 and params.power.k:
+        half = span // 2
+        # column u's partner u* = span - 1 - u is its mirror in heads and steps
+        return _distinct_mod(heads[:half], half) and all(
+            b % span == half and a_ == (a - b) % size and b_ == -b % size
+            for a, b, a_, b_ in zip(heads[:half], steps[:half], heads[::-1], steps[::-1]))
+    return _distinct_mod(heads, span) and all(b % span == 0 and b // span % p for b in steps)
+
+
+def _distinct_mod(values: array, m: int) -> bool:
+    """Whether the m values are distinct mod m."""
+    seen = bytearray(m)
+    for a in values:
+        seen[a % m] = 1
+    return seen.find(0) < 0
+
+
 def first_collision(codes: array) -> tuple[int, int] | None:
     """The first pair (y, x), y < x, with codes[y] == codes[x], or None.
 
@@ -356,6 +476,11 @@ def first_collision(codes: array) -> tuple[int, int] | None:
     return None
 
 
+def block_collision(params: CodingParams, codes: array) -> tuple[int, int] | None:
+    """first_collision(codes), skipping the scan where _column_law_certifies codes."""
+    return None if _column_law_certifies(params, codes) else first_collision(codes)
+
+
 def permutation_table(
     params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES
 ) -> PermutationTable:
@@ -366,7 +491,7 @@ def permutation_table(
     would be an implementation bug, not a usage error).
     """
     image = code_array(params, max_entries)
-    collision = first_collision(image)
+    collision = block_collision(params, image)
     if collision is not None:
         raise InternalBijectivityViolation(
             f"duplicate output {image[collision[1]]} for params {params}"

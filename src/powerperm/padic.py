@@ -1,4 +1,4 @@
-"""Exact base-p primitives: a verified prime base, valuations, totients.
+"""Exact base-p primitives: a verified prime base and valuations.
 
 Everything here works on arbitrary-precision integers.
 """
@@ -84,10 +84,3 @@ def valuation(x: int, base: PrimeBase) -> int:
             x //= powers[i]
             e += 1 << i
     return e
-
-
-def totient_prime_power(base: PrimeBase, m: int) -> int:
-    """Euler totient of p**m, i.e. p**(m-1) * (p-1)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return base.p ** (m - 1) * (base.p - 1)

@@ -260,6 +260,30 @@ def test_root_of_a_huge_power_of_two_finishes_quickly():
             sys.set_int_max_str_digits(limit)
 
 
+def test_largest_64_bit_prime_finishes_quickly():
+    # p = 2**64 - 59: encode and decode take a few powers mod p**5; table and
+    # verify would need p**4 and p entries, and exit 2 before enumerating
+    p = 2**64 - 59
+    block = ["--p", str(p), "--n", "3", "--l", "4", "--r", "5"]
+
+    def cli(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "powerperm", *argv],
+                              capture_output=True, text=True, timeout=10)
+
+    xp = p**4 - 12345
+    proc = cli("encode", *block, "--x", str(xp))
+    assert proc.returncode == 0, proc.stderr
+    z = int(proc.stdout)
+    assert 0 <= z < p**4
+    proc = cli("decode", *block, "--code", str(z))
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == xp
+    for argv in (("table", *block), ("verify", "--p", str(p), "--n", "3", "--lmax", "1")):
+        proc = cli(*argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: enumeration would need")
+
+
 def test_rejects_composite_base(capsys):
     code, _, err = run(
         capsys, "encode", "--p", "9", "--n", "3", "--l", "2", "--r", "1",

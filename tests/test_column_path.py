@@ -1,7 +1,7 @@
-"""inverse_image and cycle_structure from the kernel's column maps.
+"""inverse_image, cycle_structure and the bijectivity check from the kernel's columns.
 
-Both are checked for exact equality against the per-entry loops they
-replace, kept here as the reference.
+Each is checked for exact equality against the per-entry loop it
+replaces, kept here (or as coding.first_collision) as the reference.
 """
 
 from __future__ import annotations
@@ -10,9 +10,20 @@ import math
 from array import array
 from collections import Counter
 
-from powerperm import coding
-from powerperm.analysis import CycleReport, cycle_structure
-from powerperm.coding import CodingParams, PermutationTable, column_maps, permutation_table
+import pytest
+
+from powerperm import analysis, coding
+from powerperm.analysis import CycleReport, audit_bijectivity, cycle_structure
+from powerperm.coding import (
+    CodingParams,
+    PermutationTable,
+    block_collision,
+    code_array,
+    column_maps,
+    first_collision,
+    permutation_table,
+)
+from powerperm.errors import InternalBijectivityViolation
 
 GRID_PRIMES = (2, 3, 5, 7, 11, 13)
 GRID_CAP = 2**12
@@ -53,30 +64,35 @@ def assert_matches_loops(table: PermutationTable) -> None:
     assert cycle_structure(table) == loop_cycles(table), table.params
 
 
-def test_column_path_matches_loops_on_grid():
+def grid():
     # every r for p in GRID_PRIMES, n <= 29 and p**l <= 2**12
-    kinds: Counter[str] = Counter()
     for p in GRID_PRIMES:
         for n in range(1, 30):
             for r in range(1, p):
                 l = 1
                 while p**l <= GRID_CAP:
-                    params = CodingParams.make(p=p, n=n, l=l, r=r)
-                    table = permutation_table(params)
-                    assert_matches_loops(table)
-                    size = params.size()
-                    if column_maps(table) is None:
-                        kinds["two, k >= 1" if p == 2 and params.power.k else "h = l"] += 1
-                    else:
-                        kinds["columns"] += 1
-                        if n == 1:
-                            kinds["identity"] += 1
-                            assert cycle_structure(table).fixed_points == tuple(range(size))
-                        if coding._typecode(4 * size) != table.image.typecode:
-                            kinds["wide lanes"] += 1
-                        if pow(r, n, p) != r:
-                            kinds["r**n != r"] += 1
+                    yield CodingParams.make(p=p, n=n, l=l, r=r)
                     l += 1
+
+
+def test_column_path_matches_loops_on_grid():
+    kinds: Counter[str] = Counter()
+    for params in grid():
+        p, n, r = params.p.p, params.power.n, params.r
+        table = permutation_table(params)
+        assert_matches_loops(table)
+        size = params.size()
+        if column_maps(table) is None:
+            kinds["two, k >= 1" if p == 2 and params.power.k else "h = l"] += 1
+        else:
+            kinds["columns"] += 1
+            if n == 1:
+                kinds["identity"] += 1
+                assert cycle_structure(table).fixed_points == tuple(range(size))
+            if coding._typecode(4 * size) != table.image.typecode:
+                kinds["wide lanes"] += 1
+            if pow(r, n, p) != r:
+                kinds["r**n != r"] += 1
     assert kinds == {"columns": 3658, "two, k >= 1": 168, "h = l": 118,
                      "identity": 136, "wide lanes": 900, "r**n != r": 2101}
 
@@ -109,3 +125,133 @@ def test_blocks_without_column_maps():
         table = permutation_table(CodingParams.make(p=p, n=n, l=l, r=1))
         assert column_maps(table) is None
         assert_matches_loops(table)
+
+
+def test_sign_fold_inverse_on_larger_blocks():
+    # p = 2 with k >= 1: lanes of 'I' under 'I' codes (2**16, 2**17), and of
+    # 'I' under 'H' codes (2**14, where the doubled domain needs wider lanes)
+    for n, l in ((6, 16), (96, 14), (2, 17)):
+        table = permutation_table(CodingParams.make(p=2, n=n, l=l, r=1))
+        assert column_maps(table) is None and coding._has_sign_fold(table.params)
+        assert_matches_loops(table)
+
+
+# ------------------------------------------- the column law as a certificate
+
+
+def test_column_law_certifies_exactly_the_kernel_blocks_on_grid():
+    # Every block whose kernel has h < l and lanes as wide as its codes is
+    # certified, and the result always equals the scan's.
+    kinds: Counter[str] = Counter()
+    for params in grid():
+        codes = code_array(params)
+        certified = coding._column_law_certifies(params, codes)
+        size = params.size()
+        expected = (coding._kernel_width(params) < params.l
+                    and coding._typecode(4 * size) == codes.typecode)
+        assert certified == expected, params
+        assert block_collision(params, codes) == first_collision(codes) is None
+        two = params.p.p == 2 and params.power.k > 0
+        kinds[("certified" if certified else "scanned") + (", two, k >= 1" if two else "")] += 1
+    assert kinds == {"certified": 2758, "certified, two, k >= 1": 101,
+                     "scanned": 1018, "scanned, two, k >= 1": 67}
+
+
+# (p, n, l, r) with k = 0 and k >= 1 for odd p and for p = 2, each certified
+CERTIFIED = ((3, 4, 7, 2), (3, 6, 7, 1), (5, 10, 5, 3), (7, 14, 4, 5), (2, 3, 12, 1),
+             (2, 6, 12, 1), (2, 12, 13, 1))
+
+
+def law_array(typecode: str, heads: list[int], steps: list[int], size: int) -> array:
+    # codes[u + span * v] = (heads[u] + steps[u] * v) mod size
+    span = len(heads)
+    return array(typecode, [(heads[x % span] + steps[x % span] * (x // span)) % size
+                            for x in range(size)])
+
+
+def mutants(params: CodingParams):
+    """(label, codes): the block's codes changed in one way each."""
+    codes = code_array(params)
+    size, typecode = len(codes), codes.typecode
+    p = params.p.p
+    span = p ** coding._kernel_width(params)
+    last = size - span  # first index of the last block
+    swapped = array(typecode, codes)
+    swapped[last + 1], swapped[last + 2] = swapped[last + 2], swapped[last + 1]
+    yield "two entries swapped in the last block", swapped
+    for x in (span, last + span // 2, size - 1):
+        duplicated = array(typecode, codes)
+        duplicated[x] = duplicated[x - 1]
+        yield f"entry {x} duplicates its neighbour", duplicated
+    high = array(typecode, codes)
+    high[span // 2] = size
+    yield "a head entry equal to p**l", high
+    heads = codes[:span].tolist()
+    steps = [(b - a) % size for a, b in zip(heads, codes[span:2 * span])]
+    yield "the unmutated law, rebuilt", law_array(typecode, heads, steps, size)
+    # column 1 (with its partner span - 2 where p = 2, k >= 1) copies column 0
+    h2, s2 = list(heads), list(steps)
+    h2[1], s2[1] = heads[0], steps[0]
+    if p == 2 and params.power.k:
+        h2[span - 2], s2[span - 2] = heads[-1], steps[-1]
+    yield "two columns on one coset", law_array(typecode, h2, s2, size)
+    if p == 2 and params.power.k:
+        # column 1 and its partner span - 2, each pair as (A_1, B_1, A_1*, B_1*)
+        a, b = heads[1], steps[1]
+        for label, pair in (("a step of valuation h", (a, 2 * b, a - 2 * b, -2 * b)),
+                            ("a partner step of the same sign", (a, b, a - b, b)),
+                            ("a partner head off by 2**h", (a, b, a - b + span, -b))):
+            h2, s2 = list(heads), list(steps)
+            h2[1], s2[1], h2[span - 2], s2[span - 2] = (v % size for v in pair)
+            yield f"a broken pair: {label}", law_array(typecode, h2, s2, size)
+    else:
+        s2 = list(steps)
+        s2[1] = s2[1] * p % size
+        yield "a step of valuation h + 1", law_array(typecode, heads, s2, size)
+    yield "codes wider than the lanes", array("Q", codes)
+
+
+def outcome(check, codes):
+    try:
+        return check(codes)
+    except IndexError:
+        return IndexError
+
+
+def test_column_law_agrees_with_the_scan_on_mutated_arrays():
+    kinds: Counter[str] = Counter()
+    for p, n, l, r in CERTIFIED:
+        params = CodingParams.make(p=p, n=n, l=l, r=r)
+        assert coding._column_law_certifies(params, code_array(params)), params
+        for label, codes in mutants(params):
+            want = outcome(first_collision, codes)
+            got = outcome(lambda c: block_collision(params, c), codes)
+            assert got == want, (params, label)
+            certified = coding._column_law_certifies(params, codes)
+            assert certified == (label == "the unmutated law, rebuilt"), (params, label)
+            kinds["collision" if isinstance(want, tuple) else str(want)] += 1
+    # every broken law and every duplicate collides; swaps and widening keep a permutation
+    assert kinds == {"collision": 39, "None": 21, "<class 'IndexError'>": 7}
+
+
+def test_table_and_audit_report_mutants_as_the_scan_does(monkeypatch):
+    for p, n, l, r in CERTIFIED[1::2]:
+        params = CodingParams.make(p=p, n=n, l=l, r=r)
+        for label, codes in mutants(params):
+            monkeypatch.setattr(coding, "code_array", lambda prm, bound, c=codes: c)
+            monkeypatch.setattr(analysis, "code_array", lambda prm, bound, c=codes: c)
+            want = outcome(first_collision, codes)
+            if want is IndexError:
+                with pytest.raises(IndexError):
+                    permutation_table(params)
+                with pytest.raises(IndexError):
+                    audit_bijectivity(params)
+                continue
+            audit = audit_bijectivity(params)
+            assert (audit.ok, audit.collision) == (want is None, want), (params, label)
+            if want is None:
+                assert permutation_table(params).image is codes
+            else:
+                with pytest.raises(InternalBijectivityViolation) as err:
+                    permutation_table(params)
+                assert str(err.value) == f"duplicate output {codes[want[1]]} for params {params}"

@@ -154,39 +154,3 @@ def test_decompose_reconstructs(x, p):
     params = CodingParams.make(p=p, n=1, l=body.bit_length() + 1, r=residue, j=j)
     assert reconstruct(params, body) == x
 
-
-# ---------------------------------------------------------------- totient
-
-
-def test_totient_examples():
-    assert padic.totient_prime_power(padic.PrimeBase(3), 3) == 18
-    assert padic.totient_prime_power(padic.PrimeBase(2), 1) == 1
-    assert padic.totient_prime_power(padic.PrimeBase(5), 2) == 20
-    with pytest.raises(ValueError):
-        padic.totient_prime_power(padic.PrimeBase(5), 0)
-
-
-def test_totient_counts_units():
-    for p in PRIMES:
-        base = padic.PrimeBase(p)
-        m = 1
-        while p**m <= 10**4:
-            n = p**m
-            count = sum(1 for x in range(1, n) if x % p)
-            assert padic.totient_prime_power(base, m) == count
-            m += 1
-
-
-def test_euler_theorem_on_prime_powers():
-    # x**phi(p**m) is 1 for every unit x, for all p**m up to 3**7
-    for p in PRIMES + (13,):
-        base = padic.PrimeBase(p)
-        m = 1
-        while p**m <= 3**7:
-            n = p**m
-            phi = padic.totient_prime_power(base, m)
-            for x in range(1, n):
-                if x % p:
-                    assert pow(x, phi, n) == 1
-            m += 1
-

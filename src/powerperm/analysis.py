@@ -15,7 +15,7 @@ from .coding import (
     PermutationTable,
     block_collision,
     code_array,
-    column_maps,
+    column_law,
 )
 
 
@@ -89,18 +89,26 @@ def audit_bijectivity(
 def cycle_structure(table: PermutationTable) -> CycleReport:
     """Cycle decomposition; order is the lcm of the cycle lengths.
 
-    On the column path (see coding.column_maps) f is a skew product over the
-    column permutation sigma. For a sigma-cycle (u_0 ... u_{m-1}), f**m maps
-    column u_0 onto itself by the composed affine map G(v) = alpha + beta * v
-    mod p**(l-h), and each t-cycle of G is one f-cycle of length m * t. G's
-    cycle type comes in closed form, and fixed points come only from
-    sigma-fixed columns, so this costs O(p**h) plus the size of the report.
-    Other blocks walk the table entry by entry.
+    Where coding.column_law gives (span, m, A, B) with m == span, f(u +
+    span * v) = sigma[u] + span * ((tops[u] + betas[u] * v) mod p**(l-h)),
+    with sigma = A mod span, tops = A // span and units betas = B // span.
+    So f is a skew product over the column permutation sigma. For a
+    sigma-cycle (u_0 ... u_{m-1}), f**m maps column u_0 onto itself by the
+    composed affine map G(v) = alpha + beta * v mod p**(l-h), and each
+    t-cycle of G is one f-cycle of length m * t. G's cycle type comes in
+    closed form, and fixed points come only from sigma-fixed columns, so
+    this costs O(p**h) plus the size of the report. Other blocks walk the
+    table entry by entry.
     """
-    cols = column_maps(table)
-    if cols is None:
+    law = column_law(table.params, table.image)
+    if law is None or law[1] < law[0]:  # m < span: columns cover half cosets
         return _walk_cycles(table)
-    span, period, size = cols.span, cols.period, len(table.image)
+    span, _, heads, steps = law
+    size = len(table.image)
+    period = size // span
+    sigma = [a % span for a in heads]
+    tops = [a // span for a in heads]
+    betas = [b // span for b in steps]
     p = table.params.p.p
     primes = _prime_factors(p - 1)
     counts: Counter[int] = Counter()
@@ -112,9 +120,9 @@ def cycle_structure(table: PermutationTable) -> CycleReport:
         alpha, beta, m, u = 0, 1, 0, u0
         while not visited[u]:
             visited[u] = 1
-            alpha = (cols.tops[u] + cols.betas[u] * alpha) % period
-            beta = beta * cols.betas[u] % period
-            u = cols.sigma[u]
+            alpha = (tops[u] + betas[u] * alpha) % period
+            beta = beta * betas[u] % period
+            u = sigma[u]
             m += 1
         for t, count in _affine_cycle_type(alpha, beta, p, period, primes).items():
             counts[m * t] += count

@@ -103,17 +103,15 @@ def valuation_legendre(base: PrimeBase, top: int, bottom: int) -> ValuationRepor
     return ValuationReport(base, top, bottom, val, "legendre")
 
 
-def valuation_direct(
-    base: PrimeBase, top: int, bottom: int, bound: int = DIRECT_BOUND
-) -> ValuationReport:
+def valuation_direct(base: PrimeBase, top: int, bottom: int) -> ValuationReport:
     """Brute-force oracle: compute C(top, bottom) exactly and divide out p.
 
-    Guarded by a bound on top so tests cannot accidentally request a
+    Guarded by DIRECT_BOUND on top so tests cannot accidentally request a
     gigantic coefficient.
     """
     _check_pair(top, bottom)
-    if top > bound:
-        raise DomainError(f"top {top} exceeds oracle bound {bound}")
+    if top > DIRECT_BOUND:
+        raise DomainError(f"top {top} exceeds oracle bound {DIRECT_BOUND}")
     c = math.comb(top, bottom)
     val = 0
     while c % base.p == 0:

@@ -100,30 +100,38 @@ class PermutationTable:
     def inverse_image(self) -> array:
         """inv with inv[image[x']] == x', in image's typecode.
 
-        On the column path (see column_maps), code c = c0 + p**h * t comes
-        from column U = sigma^-1(c0) at v = (V + W * t) mod p**(l-h), with
-        W = beta_U**-1 and V = -W * tops[U]. So inv steps like the kernel:
-        inv(c0 + p**h * t) = (U + p**h * V + p**h * W * t) mod p**l.
-        Blocks with p == 2 and k >= 1 are inverted by the sign fold (see
-        _fold_inverse); the rest entry by entry.
+        With the column law (span, m, A, B) (see column_law), column U < m
+        takes the code c0 + m * t, for c0 = A_U mod m, at v = (V + W * t)
+        mod p**l // m, with W = (B_U // m)**-1 and V = -W * (A_U // m). So
+        inv steps like the kernel, modulo p**l * span // m:
+        inv(c0 + m * t) = U + span * V + span * W * t. Where m < span (p == 2
+        and k >= 1), that lands on the doubled domain x' < 2**(l+1), and
+        x = 2*x' + 1 and -x share their power, so x' >= 2**l folds to
+        2**(l+1) - 1 - x': its low l + 1 bits flipped. Blocks without a
+        column law are inverted entry by entry.
         """
-        cols = column_maps(self)
-        if cols is None:
-            if _has_sign_fold(self.params):
-                return _fold_inverse(self)
-            inv = array(self.image.typecode, [0]) * len(self.image)
-            for x, z in enumerate(self.image):
+        image = self.image
+        law = column_law(self.params, image)
+        if law is None:
+            inv = array(image.typecode, [0]) * len(image)
+            for x, z in enumerate(image):
                 inv[z] = x
             return inv
-        span, period = cols.span, cols.period
-        heads, steps = [0] * span, [0] * span
-        for u, (c0, top, beta) in enumerate(zip(cols.sigma, cols.tops, cols.betas)):
-            w = pow(beta, -1, period)
-            heads[c0] = u + span * (-w * top % period)
-            steps[c0] = span * w
-        size = len(self.image)
-        return _collect(self.image.typecode,
-                        chain([heads], _affine_lanes(heads, steps, size)))
+        span, m, heads, steps = law
+        period = len(image) // m
+        inv_heads, inv_steps = [0] * m, [0] * m
+        for u, a, b in zip(range(m), heads, steps):
+            w = pow(b // m, -1, period)
+            inv_heads[a % m] = u + span * (-w * (a // m) % period)
+            inv_steps[a % m] = span * w
+        modulus = span * period
+        lane = _typecode(4 * modulus)
+        packed = chain([_pack(lane, inv_heads)],
+                       _packed_lanes(inv_heads, inv_steps, modulus, period - 1))
+        if m < span:
+            ones = _pack(lane, [1] * m)
+            packed = (e ^ ((e >> self.params.l) & ones) * (modulus - 1) for e in packed)
+        return _collect(image.typecode, _unpacked(lane, m, packed, image.typecode))
 
 
 def shift(power: PowerSpec, base: PrimeBase) -> int:
@@ -201,10 +209,11 @@ def _code_chunks(params: CodingParams) -> Iterator[list[int] | array]:
         code(u, v) = (A_u + B_u * v) mod p**l,
 
     where A_u = code(u, 0) and B_u = n * y**(n-1) * p**(h+1-a) mod p**l. So
-    the head pass, the block v = 0, costs one pow per u, and _affine_lanes
-    steps the later blocks. When h = l every code is its own pow. The v = 0
-    block is yielded in chunks of 1, 1, 2, 4, ... codes as they are
-    computed, so a caller that stops early pays only for what it takes.
+    the head pass, the block v = 0, costs one pow per u, and _packed_lanes
+    steps the later blocks, each yielded as an array of typecode
+    _typecode(p**l). When h = l every code is its own pow. The v = 0 block
+    is yielded in chunks of 1, 1, 2, 4, ... codes as they are computed, so a
+    caller that stops early pays only for what it takes.
     """
     p, n, r, l = params.p.p, params.power.n, params.r, params.l
     pa, modulus = _window_moduli(params)
@@ -225,7 +234,8 @@ def _code_chunks(params: CodingParams) -> Iterator[list[int] | array]:
         start += count
         count = min(2 * count, _HEAD_CHUNK)
     if h < l:
-        yield from _affine_lanes(heads, steps, size)
+        packed = _packed_lanes(heads, steps, size, size // span - 1)
+        yield from _unpacked(_typecode(4 * size), span, packed, _typecode(size))
 
 
 def _pack(lane: str, values: list[int] | array) -> int:
@@ -257,45 +267,31 @@ def _packed_lanes(
         yield cur
 
 
-def _unpacked(lane: str, span: int, packed: Iterable[int]) -> Iterator[array]:
-    """Each packed block of span lanes as an array of typecode lane."""
-    nbytes = span * array(lane).itemsize
+def _unpacked(lane: str, span: int, packed: Iterable[int], typecode: str) -> Iterator[array]:
+    """Each packed block of span lanes as an array of typecode, no wider than lane.
+
+    Where typecode is narrower, its items are the low bytes of the lanes,
+    copied by strided slices rather than item by item.
+    """
+    wide, size = array(lane).itemsize, array(typecode).itemsize
+    low = 0 if sys.byteorder == "little" else wide - size
     for cur in packed:
-        block = array(lane)
-        block.frombytes(cur.to_bytes(nbytes, sys.byteorder))
+        raw = cur.to_bytes(span * wide, sys.byteorder)
+        if wide != size:
+            narrow = bytearray(span * size)
+            for i in range(size):
+                narrow[i::size] = raw[low + i::wide]
+            raw = narrow
+        block = array(typecode)
+        block.frombytes(raw)
         yield block
 
 
-def _affine_lanes(heads: list[int], steps: list[int], modulus: int) -> Iterator[array]:
-    """The blocks (heads[u] + t * steps[u]) mod modulus for t = 1, 2, ..., in order.
-
-    Yields modulus // len(heads) - 1 blocks from _packed_lanes, each an
-    array of typecode _typecode(4 * modulus).
-    """
-    span = len(heads)
-    packed = _packed_lanes(heads, steps, modulus, modulus // span - 1)
-    return _unpacked(_typecode(4 * modulus), span, packed)
-
-
 def _collect(typecode: str, chunks: Iterable[list[int] | array]) -> array:
-    """One array of the given typecode holding every chunk, in order.
-
-    An array chunk of another typecode holds lanes wider than the values; it
-    is narrowed by copying the low bytes of every item, not item by item.
-    """
+    """One array of the given typecode holding every chunk, in order."""
     out = array(typecode)
-    size = out.itemsize
     for chunk in chunks:
-        if isinstance(chunk, array) and chunk.typecode != typecode:
-            wide = chunk.itemsize
-            low = 0 if sys.byteorder == "little" else wide - size
-            narrow = bytearray(len(chunk) * size)
-            raw = memoryview(chunk).cast("B")
-            for i in range(size):
-                narrow[i::size] = raw[low + i::wide]
-            out.frombytes(narrow)
-        else:
-            out.extend(chunk)
+        out.extend(chunk)
     return out
 
 
@@ -329,122 +325,69 @@ def code_array(params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES) -> ar
     return _collect(_typecode(size) or "Q", _code_chunks(params))
 
 
-class ColumnMaps(NamedTuple):
-    """A block permutation f as affine maps between the columns of its kernel.
+def column_law(params: CodingParams, codes: array) -> tuple[int, int, array, array] | None:
+    """The kernel's column law read off codes: (span, m, heads, steps), or None.
 
-    For u < span = p**h and v < period = p**(l-h),
+    With h = _kernel_width(params) and span = p**h, heads = codes[:span]
+    and steps = codes[span:2 * span] - heads mod p**l, both arrays of codes'
+    typecode. Where codes is the block's code array, codes[u + span * v] =
+    (heads[u] + steps[u] * v) mod p**l, each steps[u] is m times a unit,
+    and column u takes its codes from the coset of heads[u] mod m:
 
-        f(u + span * v) = sigma[u] + span * ((tops[u] + betas[u] * v) mod period),
+    - for odd p, or p == 2 with k == 0, m = span and column u takes every
+      code of its coset once;
+    - for p == 2 with k >= 1, m = span // 2 and column u takes half of its
+      coset; column span - 1 - u, the column of -x, takes the other half.
 
-    with every betas[u] a unit mod period, so sigma permutes the columns.
+    None where the kernel's h reaches l.
     """
-
-    span: int
-    period: int
-    sigma: list[int]
-    tops: list[int]
-    betas: list[int]
-
-
-def column_maps(table: PermutationTable) -> ColumnMaps | None:
-    """The column maps of a table, or None where the block has none.
-
-    The kernel's B_u is p**h * q * y**(n-1) for odd p, or for p == 2 with
-    k == 0, and y is a unit, so each column maps onto one column. They are
-    read off the table: A_u = image[u] and B_u = image[u + p**h] - A_u mod
-    p**l. For p == 2 with k >= 1, B_u has valuation h - 1 and sigma is not
-    a permutation; there, and where the kernel's h reaches l, this is None.
-    """
-    params, image = table.params, table.image
+    p, l = params.p.p, params.l
     h = _kernel_width(params)
-    if h == params.l or (params.p.p == 2 and params.power.k):
+    if h == l:
         return None
-    span = params.p.p**h
-    size = len(image)
-    heads = image[:span].tolist()
-    return ColumnMaps(
-        span=span,
-        period=size // span,
-        sigma=[a % span for a in heads],
-        tops=[a // span for a in heads],
-        betas=[(b - a) % size // span for a, b in zip(heads, image[span:2 * span])],
-    )
-
-
-def _has_sign_fold(params: CodingParams) -> bool:
-    """Whether _fold_inverse applies: p == 2 with k >= 1 and the kernel's h < l."""
-    return params.p.p == 2 and params.power.k > 0 and _kernel_width(params) < params.l
-
-
-def _fold_inverse(table: PermutationTable) -> array:
-    """inverse_image for p == 2 with k >= 1, stepped lane-wise like the kernel.
-
-    There B_u = 2**(h-1) * b_u with b_u odd. On the doubled domain
-    x'_ext < 2**(l+1), where the kernel's law still holds, column U covers
-    the whole coset of c0 = A_U mod 2**(h-1): code c0 + 2**(h-1) * t comes
-    from x'_ext = U + 2**h * ((V + W * t) mod 2**(l-h+1)), with W = b_U**-1
-    and V = -W * (A_U // 2**(h-1)). The columns u < 2**(h-1) take each c0
-    once. x = 2*x' + 1 and -x share their power, so x'_ext >= 2**l folds to
-    2**(l+1) - 1 - x'_ext: its low l + 1 bits flipped.
-    """
-    params, image = table.params, table.image
-    size, h = len(image), _kernel_width(params)
-    half, period = 1 << (h - 1), size >> (h - 1)
-    heads, steps = [0] * half, [0] * half
-    for u, (a, b) in enumerate(zip(image[:half], image[2 * half:3 * half])):
-        w = pow((b - a) % size >> (h - 1), -1, period)
-        heads[a % half] = u + 2 * half * (-w * (a >> (h - 1)) % period)
-        steps[a % half] = 2 * half * w
-    lane = _typecode(8 * size)
-    ones = _pack(lane, [1] * half)
-    packed = chain([_pack(lane, heads)], _packed_lanes(heads, steps, 2 * size, period - 1))
-    folded = (e ^ ((e >> params.l) & ones) * (2 * size - 1) for e in packed)
-    return _collect(image.typecode, _unpacked(lane, half, folded))
+    span, size = p**h, params.size()
+    heads = codes[:span]
+    steps = array(codes.typecode, ((b - a) % size for a, b in zip(heads, codes[span:2 * span])))
+    return span, span // 2 if p == 2 and params.power.k else span, heads, steps
 
 
 def _column_law_certifies(params: CodingParams, codes: array) -> bool:
     """True when codes provably holds each of 0, ..., p**l - 1 once.
 
-    With h = _kernel_width(params), A_u = codes[u] and B_u = codes[u + p**h]
-    - A_u mod p**l, every later block of p**h codes must equal the block
-    before it plus B, mod p**l, lane by lane, as _packed_lanes steps it. Then
-    codes[u + p**h * v] = (A_u + B_u * v) mod p**l for every u and v, and:
+    With (span, m, A, B) = column_law(params, codes), every later block of
+    span codes must equal the block before it plus B, mod p**l, lane by
+    lane, as _packed_lanes steps it. Then codes[u + span * v] = (A_u + B_u *
+    v) mod p**l for every u and v, and with each B_u m times a unit:
 
-    - for odd p, or p == 2 with k == 0, column u covers the coset of A_u mod
-      p**h once when B_u is p**h times a unit, so heads distinct mod p**h
-      make a permutation;
-    - for p == 2 with k >= 1, column u covers half the coset of A_u mod
-      2**(h-1) when B_u is 2**(h-1) times an odd number, and its partner
-      u* = 2**h - 1 - u (the fold x <-> -x) covers the other half when
-      A_u* = A_u - B_u and B_u* = -B_u mod 2**l. So the pairs of the u below
-      2**(h-1), with heads distinct mod 2**(h-1), make a permutation.
+    - where m == span, column u covers the coset of A_u mod m once, so heads
+      distinct mod m make a permutation;
+    - where m < span (p == 2 with k >= 1), column u covers half the coset of
+      A_u mod m, and its partner u* = span - 1 - u (the fold x <-> -x) covers
+      the other half when A_u* = A_u - B_u and B_u* = -B_u mod 2**l. So the
+      pairs of the u below m, with heads distinct mod m, make a permutation.
 
-    False when a test fails, when h == l, or when the kernel's lanes are
-    wider than the codes.
+    False when a test fails, when h == l, or when codes is not of typecode
+    _typecode(p**l).
     """
-    p, size = params.p.p, len(codes)
-    h = _kernel_width(params)
-    if h == params.l or size != params.size() or codes.typecode != _typecode(4 * size):
+    size = params.size()
+    law = column_law(params, codes)
+    if law is None or len(codes) != size or codes.typecode != _typecode(size):
         return False
-    span = p**h
+    span, m, heads, steps = law
     # heads and steps stay arrays, so the check holds less than the scan's
     # byte per entry
-    heads = codes[:span]
     if max(heads) >= size:  # so that no lane overflows
         return False
-    steps = array(codes.typecode, ((b - a) % size for a, b in zip(heads, codes[span:2 * span])))
-    raw, nbytes = memoryview(codes).cast("B"), span * codes.itemsize
-    offsets = range(nbytes, len(raw), nbytes)
-    for i, cur in zip(offsets, _packed_lanes(heads, steps, size, len(offsets))):
-        if cur != int.from_bytes(raw[i:i + nbytes], sys.byteorder):
-            return False
-    if p == 2 and params.power.k:
-        half = span // 2
-        # column u's partner u* = span - 1 - u is its mirror in heads and steps
-        return _distinct_mod(heads[:half], half) and all(
-            b % span == half and a_ == (a - b) % size and b_ == -b % size
-            for a, b, a_, b_ in zip(heads[:half], steps[:half], heads[::-1], steps[::-1]))
-    return _distinct_mod(heads, span) and all(b % span == 0 and b // span % p for b in steps)
+    packed = _packed_lanes(heads, steps, size, size // span - 1)
+    blocks = _unpacked(_typecode(4 * size), span, packed, codes.typecode)
+    if any(block != codes[x:x + span] for x, block in zip(range(span, size, span), blocks)):
+        return False
+    p = params.p.p
+    # column u's partner u* = span - 1 - u is its mirror in heads and steps
+    return (_distinct_mod(heads[:m], m)
+            and all(b % m == 0 and b // m % p for b in steps[:m])
+            and (m == span or all(a_ == (a - b) % size and b_ == -b % size for a, b, a_, b_
+                                  in zip(heads[:m], steps[:m], heads[::-1], steps[::-1]))))
 
 
 def _distinct_mod(values: array, m: int) -> bool:

@@ -7,22 +7,6 @@ inverts the induced permutations, recovers roots from exact powers, and
 provides the binomial-valuation machinery behind the bijectivity argument.
 """
 
-from .analysis import (
-    AuditResult,
-    CycleReport,
-    ScatterData,
-    audit_bijectivity,
-    cycle_structure,
-    export_scatter,
-)
-from .binomial import (
-    DIRECT_BOUND,
-    ValuationReport,
-    kummer_carries,
-    valuation_direct,
-    valuation_legendre,
-    valuation_lemma1,
-)
 from .coding import (
     CodingParams,
     PermutationTable,
@@ -34,7 +18,6 @@ from .coding import (
     extended_shift,
     iter_codes,
     permutation_table,
-    reconstruct,
     roots,
     shift,
 )
@@ -45,6 +28,30 @@ from .errors import (
     PowerPermError,
 )
 from .padic import PrimeBase, valuation
+
+# Names of the submodules that load on first use, and the names they export.
+_LAZY = {
+    "analysis": ("AuditResult", "CycleReport", "ScatterData", "audit_bijectivity",
+                 "cycle_structure", "export_scatter"),
+    "binomial": ("DIRECT_BOUND", "ValuationReport", "kummer_carries", "valuation_direct",
+                 "valuation_legendre", "valuation_lemma1"),
+}
+
+
+def __getattr__(name: str):
+    """Import analysis or binomial when it, or a name it exports, is first used.
+
+    So neither import powerperm nor the CLI loads them (PEP 562).
+    """
+    import importlib
+
+    module = name if name in _LAZY else next(
+        (module for module, names in _LAZY.items() if name in names), None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = importlib.import_module(f".{module}", __name__)
+    return loaded if module == name else getattr(loaded, name)
+
 
 __version__ = "0.1.0"
 
@@ -73,7 +80,6 @@ __all__ = [
     "iter_codes",
     "kummer_carries",
     "permutation_table",
-    "reconstruct",
     "roots",
     "shift",
     "valuation",

@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import chain, repeat
-from typing import Iterator
 
+from ._records import record
 from .coding import (
     MAX_TABLE_ENTRIES,
     CodingParams,
@@ -19,24 +19,23 @@ from .coding import (
 )
 
 
-@dataclass(frozen=True)
-class AuditResult:
-    """Outcome of a full-range duplicate scan; collision holds the first offending pair."""
+class AuditResult(record("AuditResult", "params ok collision", defaults=(None,))):
+    """Outcome of a full-range duplicate scan; collision holds the first offending pair.
 
-    params: CodingParams
-    ok: bool
-    collision: tuple[int, int] | None = None
+    Fields: params, ok, collision (a pair (y, x) with y < x, or None).
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CycleReport:
-    """Cycle decomposition of a block permutation."""
+class CycleReport(record("CycleReport", "params cycle_count cycle_lengths fixed_points order")):
+    """Cycle decomposition of a block permutation.
 
-    params: CodingParams
-    cycle_count: int
-    cycle_lengths: tuple[int, ...]
-    fixed_points: tuple[int, ...]
-    order: int
+    cycle_lengths and fixed_points are sorted tuples of ints; order is the
+    lcm of the cycle lengths.
+    """
+
+    __slots__ = ()
 
 
 class ScatterPoints:
@@ -58,15 +57,13 @@ class ScatterPoints:
         return xp, self._codes[xp]
 
 
-@dataclass(frozen=True)
-class ScatterData:
+class ScatterData(record("ScatterData", "params codes")):
     """All (x', encode(x')) pairs, ready for plotting or CSV export.
 
     codes[x'] is the code of x'; points presents the same data as pairs.
     """
 
-    params: CodingParams
-    codes: array
+    __slots__ = ()
 
     @property
     def points(self) -> ScatterPoints:

@@ -9,26 +9,23 @@ Agreement between them is part of the test contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal
 
+from ._records import record
 from .errors import DomainError
 from .padic import PrimeBase, valuation
 
-Method = Literal["lemma1", "kummer", "legendre", "direct"]
-
 DIRECT_BOUND = 10_000
+# Digits of the pieces that kummer_carries adds digit by digit once it splits.
+_KUMMER_DIGITS = 32
 
 
-@dataclass(frozen=True)
-class ValuationReport:
-    """p-adic valuation of C(top, bottom) together with the route that produced it."""
+class ValuationReport(record("ValuationReport", "p top bottom valuation method")):
+    """p-adic valuation of C(top, bottom) together with the route that produced it.
 
-    p: PrimeBase
-    top: int
-    bottom: int
-    valuation: int
-    method: Method
+    method names the route: "lemma1", "kummer", "legendre" or "direct".
+    """
+
+    __slots__ = ()
 
 
 def _check_pair(top: int, bottom: int) -> None:
@@ -60,18 +57,37 @@ def kummer_carries(base: PrimeBase, top: int, bottom: int) -> ValuationReport:
     carry out of one position can propagate through runs of digits summing
     to p-1, so the count may exceed the number of positions where the top
     digit is smaller than the bottom digit.
+
+    A top of at most 64 bits is added digit by digit. A larger one splits
+    at p**(_KUMMER_DIGITS * 2**i) into halves, down to _KUMMER_DIGITS digits:
+    the low halves' carry out, whether their sum with the carry in reaches
+    the split, is the high halves' carry in. So a top of d digits costs a
+    few divisions per level rather than d divisions of d digits each.
     """
     _check_pair(top, bottom)
     p = base.p
-    a, b = top - bottom, bottom
-    carries = 0
-    carry = 0
-    while a or b or carry:
-        a, da = divmod(a, p)
-        b, db = divmod(b, p)
-        carry = 1 if da + db + carry >= p else 0
-        carries += carry
-    return ValuationReport(base, top, bottom, carries, "kummer")
+    # splits[i] = p**(_KUMMER_DIGITS * 2**i), up to the first above top
+    splits = [p**_KUMMER_DIGITS] if top >> 64 else []
+    while splits and splits[-1] <= top:
+        splits.append(splits[-1] ** 2)
+
+    def carries(a: int, b: int, carry: int, i: int) -> int:
+        # the carries of a + b + carry, split at splits[i], ..., splits[0]
+        if i >= 0:
+            a_high, a_low = divmod(a, splits[i])
+            b_high, b_low = divmod(b, splits[i])
+            low_out = 1 if a_low + b_low + carry >= splits[i] else 0
+            return carries(a_low, b_low, carry, i - 1) + carries(a_high, b_high, low_out, i - 1)
+        count = 0
+        while a or b or carry:
+            a, da = divmod(a, p)
+            b, db = divmod(b, p)
+            carry = 1 if da + db + carry >= p else 0
+            count += carry
+        return count
+
+    count = carries(top - bottom, bottom, 0, len(splits) - 2)
+    return ValuationReport(base, top, bottom, count, "kummer")
 
 
 def valuation_legendre(base: PrimeBase, top: int, bottom: int) -> ValuationReport:

@@ -2,20 +2,21 @@
 
 Every command is a thin adapter over the library: identical inputs produce
 byte-identical output. Exit codes: 0 success, 2 usage or validation error,
-3 domain failure (for example no preimage for a root query).
+3 domain failure (for example no preimage for a root query). A fresh process
+pays for every import, so analysis, binomial and json load only in the
+commands and the format that use them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from array import array
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator
 
-from . import analysis, binomial, coding
+from . import coding
 from .errors import PowerPermError
 from .padic import PrimeBase
 
@@ -45,6 +46,8 @@ def _render(ns: argparse.Namespace, obj: dict, header: str,
     """
     with open(ns.out, "w", newline="\n") if ns.out else nullcontext(sys.stdout) as fh:
         if ns.format == "json":
+            import json
+
             lead = "{"
             for key, value in obj.items():
                 fh.write(f"{lead}{json.dumps(key)}: ")
@@ -117,6 +120,8 @@ def cmd_root(ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
+    from . import analysis
+
     base = PrimeBase(ns.p)
     power = coding.PowerSpec.from_power(ns.n, base)
     rows = []
@@ -140,6 +145,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def cmd_valuation(ns: argparse.Namespace) -> int:
+    from . import binomial
+
     base = PrimeBase(ns.p)
     lemma_form = ns.k is not None or ns.j is not None
     general_form = ns.top is not None or ns.bottom is not None

@@ -5,8 +5,7 @@ Everything here works on arbitrary-precision integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._records import record
 from .errors import DomainError
 
 # Deterministic Miller-Rabin witness set, valid far beyond 2**64.
@@ -37,8 +36,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeBase:
+class PrimeBase(record("PrimeBase", "p")):
     """A prime base p, verified prime at construction.
 
     Raises DomainError if p >= 2**64 (outside the deterministic test range,
@@ -46,15 +44,14 @@ class PrimeBase:
     if p is not prime.
     """
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p >= PRIMALITY_LIMIT:
-            raise DomainError(
-                f"base {self.p} exceeds the deterministic primality range (< 2**64)"
-            )
-        if not _is_prime(self.p):
-            raise DomainError(f"{self.p} is not prime")
+    def __new__(cls, p: int) -> PrimeBase:
+        if p >= PRIMALITY_LIMIT:
+            raise DomainError(f"base {p} exceeds the deterministic primality range (< 2**64)")
+        if not _is_prime(p):
+            raise DomainError(f"{p} is not prime")
+        return tuple.__new__(cls, (p,))
 
 
 def valuation(x: int, base: PrimeBase) -> int:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,38 @@ def test_carries_can_exceed_digitwise_comparison_count():
     assert found is not None
     top, bottom, carries = found
     assert carries == comb_valuation(2, top, bottom)
+
+
+def digit_loop_carries(p: int, a: int, b: int) -> int:
+    # reference: add a and b one base-p digit at a time
+    carries = carry = 0
+    while a or b or carry:
+        a, da = divmod(a, p)
+        b, db = divmod(b, p)
+        carry = 1 if da + db + carry >= p else 0
+        carries += carry
+    return carries
+
+
+def test_kummer_split_matches_the_digit_loop():
+    # tops past 64 bits split into halves; carries must ripple across each
+    # split, so some addends are runs of p - 1 digits that end near one
+    rng = random.Random(20261018)
+    for p in (2, 3, 5, 7, 13, 2**61 - 1):
+        base = PrimeBase(p)
+        for _ in range(150):
+            digits = rng.choice((20, 40, 63, 64, 65, 100, 127, 128, 129, 300, 1000))
+            run = p ** rng.randint(1, digits) - 1
+            a, b = rng.choice((
+                (rng.randrange(p**digits), rng.randrange(p**digits)),
+                (1, run),
+                (run, run),
+                (rng.randrange(p**digits), run),
+                (p ** rng.randint(1, digits) - rng.randrange(1, p), run),
+            ))
+            report = binomial.kummer_carries(base, a + b, b)
+            assert report.valuation == digit_loop_carries(p, a, b), (p, a, b)
+            assert report == binomial.ValuationReport(base, a + b, b, report.valuation, "kummer")
 
 
 # ----------------------------------------------------------------- legendre

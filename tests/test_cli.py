@@ -538,6 +538,20 @@ def test_valuation_of_a_huge_top_finishes_quickly():
             sys.set_int_max_str_digits(limit)
 
 
+def test_valuation_of_a_huge_power_finishes_quickly():
+    # p**k has 300,001 digits: Kummer's route splits the addends in halves
+    # instead of dividing all of them by p once per digit
+    proc = subprocess.run(
+        [sys.executable, "-m", "powerperm", "valuation", "--p", "3", "--k", "300000",
+         "--j", "1"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "lemma1=300000 kummer=300000 legendre=300000 AGREE\n"
+
+
 def test_valuation_csv(capsys):
     code, out, _ = run(
         capsys, "valuation", "--p", "3", "--k", "2", "--j", "3",
@@ -663,3 +677,26 @@ def test_subprocess_exit_code_for_domain_failure():
     )
     assert proc.returncode == 3
     assert proc.stdout == "no preimage\n"
+
+
+def test_cli_import_loads_only_what_every_command_needs():
+    # compare with the modules loaded at start-up, which site may widen
+    script = """if True:
+        import sys
+        before = set(sys.modules)
+        import powerperm.cli
+        print(" ".join(sorted(set(sys.modules) - before)))
+        from powerperm import audit_bijectivity, ValuationReport
+        import powerperm
+        print(audit_bijectivity.__module__, ValuationReport.__module__,
+              powerperm.binomial.DIRECT_BOUND)
+    """
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded, lazy = proc.stdout.splitlines()
+    loaded = set(loaded.split())
+    assert "powerperm.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json", "powerperm.analysis",
+                         "powerperm.binomial"}
+    assert lazy == "powerperm.analysis powerperm.binomial 10000"

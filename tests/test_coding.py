@@ -25,7 +25,6 @@ from powerperm.coding import (
     extended_shift,
     iter_codes,
     permutation_table,
-    reconstruct,
     roots,
     shift,
 )
@@ -145,7 +144,7 @@ def test_encode_matches_digit_window_of_full_power():
             params = CodingParams.make(p=p, n=n, l=l, r=r, j=j)
             start = extended_shift(params)
             for xp in range(params.size()):
-                x = reconstruct(params, xp)
+                x = p**j * (p * xp + r)
                 assert encode(params, xp) == window_of_power(x, n, p, start, l), (
                     p,
                     n,
@@ -164,20 +163,14 @@ def test_window_slides_with_j_but_contents_do_not():
         base = CodingParams.make(p=p, n=n, l=l, r=r)
         for xp in range(base.size()):
             want = window_of_power(
-                reconstruct(base, xp), n, p, extended_shift(base), l
+                p * xp + r, n, p, extended_shift(base), l
             )
             for j in (1, 2, 5):
                 params = CodingParams.make(p=p, n=n, l=l, r=r, j=j)
                 got = window_of_power(
-                    reconstruct(params, xp), n, p, extended_shift(params), l
+                    p**j * (p * xp + r), n, p, extended_shift(params), l
                 )
                 assert got == want
-
-
-def test_reconstruct():
-    assert reconstruct(CodingParams.make(p=3, n=3, l=2, r=1), 1) == 4
-    assert reconstruct(CodingParams.make(p=3, n=3, l=2, r=1, j=2), 1) == 36
-    assert reconstruct(CodingParams.make(p=2, n=2, l=3, r=1, j=3), 5) == 88
 
 
 def test_top_of_range_block():
@@ -694,7 +687,7 @@ def test_window_oracle_property(data):
     j = data.draw(st.integers(0, 3))
     params = CodingParams.make(p=p, n=n, l=l, r=r, j=j)
     xp = data.draw(st.integers(0, params.size() - 1))
-    x = reconstruct(params, xp)
+    x = p**j * (p * xp + r)
     assert encode(params, xp) == window_of_power(
         x, n, p, extended_shift(params), l
     )

@@ -30,10 +30,10 @@ def main() -> int:
         path = outdir / f"scatter_{p}_{n}_{l}.csv"
         with open(path, "w", newline="\n") as fh:
             fh.write("x,z\n")
-            for x, z in data.points:
+            for x, z in enumerate(data.codes):
                 fh.write(f"{x},{z}\n")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{path}: {len(data.points)} rows sha256={digest}")
+        print(f"{path}: {len(data.codes)} rows sha256={digest}")
     return 0
 
 

@@ -7,83 +7,37 @@ inverts the induced permutations, recovers roots from exact powers, and
 provides the binomial-valuation machinery behind the bijectivity argument.
 """
 
-from .coding import (
-    CodingParams,
-    PermutationTable,
-    PowerSpec,
-    compose_decomposition,
-    decode,
-    encode,
-    encode_via_composition,
-    extended_shift,
-    iter_codes,
-    permutation_table,
-    roots,
-    shift,
-)
-from .errors import (
-    DomainError,
-    EnumerationBoundExceeded,
-    InternalBijectivityViolation,
-    PowerPermError,
-)
-from .padic import PrimeBase, valuation
-
-# Names of the submodules that load on first use, and the names they export.
-_LAZY = {
+# Each submodule and the public names it defines. None loads until first used,
+# since a fresh process pays for every module it imports.
+_EXPORTS = {
     "analysis": ("AuditResult", "CycleReport", "ScatterData", "audit_bijectivity",
                  "cycle_structure", "export_scatter"),
     "binomial": ("DIRECT_BOUND", "ValuationReport", "kummer_carries", "valuation_direct",
                  "valuation_legendre", "valuation_lemma1"),
+    "coding": ("CodingParams", "PermutationTable", "PowerSpec", "compose_decomposition",
+               "decode", "encode", "encode_via_composition", "extended_shift", "iter_codes",
+               "permutation_table", "roots", "shift"),
+    "errors": ("DomainError", "EnumerationBoundExceeded", "InternalBijectivityViolation",
+               "PowerPermError"),
+    "padic": ("PrimeBase", "valuation"),
 }
+
+__version__ = "0.1.0"
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
 
 
 def __getattr__(name: str):
-    """Import analysis or binomial when it, or a name it exports, is first used.
-
-    So neither import powerperm nor the CLI loads them (PEP 562).
-    """
+    """Import a submodule when it, or a name it exports, is first used (PEP 562)."""
     import importlib
 
-    module = name if name in _LAZY else next(
-        (module for module, names in _LAZY.items() if name in names), None)
+    module = name if name in _EXPORTS else next(
+        (module for module, names in _EXPORTS.items() if name in names), None)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     loaded = importlib.import_module(f".{module}", __name__)
     return loaded if module == name else getattr(loaded, name)
 
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "AuditResult",
-    "CodingParams",
-    "CycleReport",
-    "DIRECT_BOUND",
-    "DomainError",
-    "EnumerationBoundExceeded",
-    "InternalBijectivityViolation",
-    "PermutationTable",
-    "PowerPermError",
-    "PowerSpec",
-    "PrimeBase",
-    "ScatterData",
-    "ValuationReport",
-    "audit_bijectivity",
-    "compose_decomposition",
-    "cycle_structure",
-    "decode",
-    "encode",
-    "encode_via_composition",
-    "export_scatter",
-    "extended_shift",
-    "iter_codes",
-    "kummer_carries",
-    "permutation_table",
-    "roots",
-    "shift",
-    "valuation",
-    "valuation_direct",
-    "valuation_legendre",
-    "valuation_lemma1",
-]
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from collections.abc import Iterator
-from itertools import chain, repeat
+from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from ._records import record
 from .coding import (
@@ -131,12 +131,16 @@ def cycle_structure(table: PermutationTable) -> CycleReport:
                 step = period // g
                 v0 = -(alpha // g) * pow((beta - 1) // g, -1, step) % step
                 fixed.append(range(u0 + span * v0, size, span * step))
+    return _cycle_report(table.params, counts, chain.from_iterable(fixed))
+
+
+def _cycle_report(params: CodingParams, counts: Counter, fixed: Iterable[int]) -> CycleReport:
+    """The CycleReport of counts, {length: number of cycles}, and the fixed points."""
     return CycleReport(
-        params=table.params,
+        params=params,
         cycle_count=sum(counts.values()),
-        cycle_lengths=tuple(chain.from_iterable(
-            repeat(length, counts[length]) for length in sorted(counts))),
-        fixed_points=tuple(sorted(chain.from_iterable(fixed))),
+        cycle_lengths=tuple(sorted(counts.elements())),
+        fixed_points=tuple(sorted(fixed)),
         order=math.lcm(*counts),
     )
 
@@ -197,7 +201,7 @@ def _walk_cycles(table: PermutationTable) -> CycleReport:
     image = table.image
     size = len(image)
     visited = bytearray(size)
-    lengths: list[int] = []
+    counts: Counter[int] = Counter()
     fixed: list[int] = []
     for start in range(size):
         if visited[start]:
@@ -208,17 +212,10 @@ def _walk_cycles(table: PermutationTable) -> CycleReport:
             visited[x] = 1
             x = image[x]
             length += 1
-        lengths.append(length)
+        counts[length] += 1
         if length == 1:
             fixed.append(start)
-    lengths.sort()
-    return CycleReport(
-        params=table.params,
-        cycle_count=len(lengths),
-        cycle_lengths=tuple(lengths),
-        fixed_points=tuple(fixed),
-        order=math.lcm(*lengths),
-    )
+    return _cycle_report(table.params, counts, fixed)
 
 
 def export_scatter(

@@ -10,6 +10,7 @@ commands and the format that use them.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from array import array
 from collections.abc import Callable, Iterable, Iterator
@@ -24,6 +25,8 @@ _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_DOMAIN = 3
 _CHUNK = 4096  # rows or values turned into text per write
+# Most bits valuation takes in a top; its routes are quadratic in them (CPython's division).
+_TOP_BITS = 1 << 20
 
 
 def _joined(sep: str, pieces: Iterable[str]) -> Iterator[str]:
@@ -152,16 +155,19 @@ def cmd_valuation(ns: argparse.Namespace) -> int:
     general_form = ns.top is not None or ns.bottom is not None
     if lemma_form == general_form:
         raise PowerPermError("give either --k and --j, or --top and --bottom")
-    reports = []
     if lemma_form:
         if ns.k is None or ns.j is None:
             raise PowerPermError("the closed-form query needs both --k and --j")
-        reports.append(binomial.valuation_lemma1(base, ns.k, ns.j))
-        top, bottom = base.p**ns.k, ns.j
+        # p**k has at least k * log2(p) bits, so one far past the bound is never built
+        top = base.p**ns.k if ns.k <= (_TOP_BITS + 1) / math.log2(ns.p) else None
+        bottom = ns.j
     else:
         if ns.top is None or ns.bottom is None:
             raise PowerPermError("the general query needs both --top and --bottom")
         top, bottom = ns.top, ns.bottom
+    if top is None or top.bit_length() > _TOP_BITS:
+        raise PowerPermError(f"top has more than {_TOP_BITS} bits")
+    reports = [binomial.valuation_lemma1(base, ns.k, ns.j)] if lemma_form else []
     reports.append(binomial.kummer_carries(base, top, bottom))
     reports.append(binomial.valuation_legendre(base, top, bottom))
     if top <= binomial.DIRECT_BOUND:

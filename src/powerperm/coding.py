@@ -23,7 +23,7 @@ from .padic import PrimeBase, valuation
 # unless told otherwise.
 TABLE_BITS = 24
 MAX_TABLE_ENTRIES = 1 << TABLE_BITS
-# Largest chunk in which the enumeration kernel hands out per-entry powers.
+# Codes per chunk in which the enumeration kernel hands out per-entry powers.
 _HEAD_CHUNK = 1 << 12
 # Fewest codes for which block_collision tries the column law before a scan.
 _SCAN_FLOOR = 1 << 12
@@ -38,11 +38,8 @@ class PowerSpec(record("PowerSpec", "n q k")):
     def from_power(cls, n: int, base: PrimeBase) -> "PowerSpec":
         if n < 1:
             raise DomainError("exponent must be a positive integer")
-        q, k = n, 0
-        while q % base.p == 0:
-            q //= base.p
-            k += 1
-        return cls(n=n, q=q, k=k)
+        k = valuation(n, base)
+        return cls(n=n, q=n // base.p**k, k=k)
 
 
 class CodingParams(record("CodingParams", "p power l r j")):
@@ -199,8 +196,8 @@ def _code_chunks(params: CodingParams) -> Iterator[list[int] | array]:
     the head pass, the block v = 0, costs one pow per u, and _packed_lanes
     steps the later blocks, each yielded as an array of typecode
     _typecode(p**l). When h = l every code is its own pow. The v = 0 block
-    is yielded in chunks of 1, 1, 2, 4, ... codes as they are computed, so a
-    caller that stops early pays only for what it takes.
+    is yielded in chunks of _HEAD_CHUNK codes as they are computed, so a
+    caller that stops early pays for at most one chunk it does not take.
     """
     p, n, r, l = params.p.p, params.power.n, params.r, params.l
     pa, modulus = _window_moduli(params)
@@ -210,16 +207,13 @@ def _code_chunks(params: CodingParams) -> Iterator[list[int] | array]:
     heads: list[int] = []
     steps: list[int] = []
     scale = n * p ** (h + 1 - shift(params.power, params.p)) if h < l else 0
-    start, count = 0, 1
-    while start < span:
-        ys = range(p * start + r, p * min(start + count, span) + r, p)
+    for start in range(0, span, _HEAD_CHUNK):
+        ys = range(p * start + r, p * min(start + _HEAD_CHUNK, span) + r, p)
         codes = [pow(y, n, modulus) // pa for y in ys]
         yield codes
         if h < l:
             heads.extend(codes)
             steps.extend([scale * pow(y, n - 1, size) % size for y in ys])
-        start += count
-        count = min(2 * count, _HEAD_CHUNK)
     if h < l:
         packed = _packed_lanes(heads, steps, size, size // span - 1)
         yield from _unpacked(_typecode(4 * size), span, packed, _typecode(size))

@@ -552,6 +552,39 @@ def test_valuation_of_a_huge_power_finishes_quickly():
     assert proc.stdout == "lemma1=300000 kummer=300000 legendre=300000 AGREE\n"
 
 
+def test_valuation_refuses_a_huge_power_up_front():
+    # 3**100000000 would take minutes to build, and 7**400000 has 1.12 * 10**6
+    # bits; 2**(2**20) sits at the bound, so it is built, and has one bit too many
+    for p, k in (("3", "100000000"), ("7", "400000"), ("2", str(2**20))):
+        proc = subprocess.run(
+            [sys.executable, "-m", "powerperm", "valuation", "--p", p, "--k", k, "--j", "1"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+
+
+def test_valuation_refuses_a_top_past_the_bit_bound(capsys):
+    # in-process, since the 315,653 digits of 2**(2**20) are more than one
+    # command-line argument may hold
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        top = str(1 << 2**20)
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(limit)
+    code, out, err = run(capsys, "valuation", "--p", "2", "--top", top, "--bottom", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_valuation_csv(capsys):
     code, out, _ = run(
         capsys, "valuation", "--p", "3", "--k", "2", "--j", "3",
@@ -696,7 +729,9 @@ def test_cli_import_loads_only_what_every_command_needs():
     assert proc.returncode == 0, proc.stderr
     loaded, lazy = proc.stdout.splitlines()
     loaded = set(loaded.split())
-    assert "powerperm.cli" in loaded
+    assert {m for m in loaded if m.startswith("powerperm")} == {
+        "powerperm", "powerperm._records", "powerperm.cli", "powerperm.coding",
+        "powerperm.errors", "powerperm.padic"}
     assert not loaded & {"dataclasses", "inspect", "json", "powerperm.analysis",
                          "powerperm.binomial"}
     assert lazy == "powerperm.analysis powerperm.binomial 10000"

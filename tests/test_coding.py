@@ -49,6 +49,20 @@ def test_power_spec_examples():
     assert PowerSpec.from_power(7, PrimeBase(7)) == PowerSpec(n=7, q=1, k=1)
 
 
+def test_power_spec_splits_n_by_its_valuation():
+    for p in (2, 3, 5, 7, 2**61 - 1):
+        base = PrimeBase(p)
+        for n in range(1, 3001):
+            power = PowerSpec.from_power(n, base)
+            assert power.q * p**power.k == n and power.q % p != 0
+    # O(log k) divisions, not one per factor of p
+    start = time.perf_counter()
+    for q, p, k in ((7, 3, 5000), (3, 2, 100000)):
+        n = q * p**k
+        assert PowerSpec.from_power(n, PrimeBase(p)) == PowerSpec(n=n, q=q, k=k)
+    assert time.perf_counter() - start < 1
+
+
 def test_power_spec_rejects_nonpositive():
     with pytest.raises(DomainError):
         PowerSpec.from_power(0, PrimeBase(3))
@@ -402,8 +416,8 @@ def test_kernel_is_lazy_for_huge_primes():
 
 
 def test_kernel_head_runs_past_its_chunk_cap():
-    # at l = 40 the v = 0 block has 2**20 codes, handed out in chunks that
-    # double up to a cap; a prefix well past the cap is still exact
+    # at l = 40 the v = 0 block has 2**20 codes, handed out in chunks of
+    # _HEAD_CHUNK codes; a prefix well past the first chunk is still exact
     params = CodingParams.make(p=2, n=3, l=40, r=1)
     head = 3 * coding._HEAD_CHUNK + 5
     assert list(islice(iter_codes(params), head)) == [

@@ -1,0 +1,46 @@
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+
+# The public names, by the submodule that defines them.
+EXPORTS = {
+    "analysis": ["AuditResult", "CycleReport", "ScatterData", "audit_bijectivity",
+                 "cycle_structure", "export_scatter"],
+    "binomial": ["DIRECT_BOUND", "ValuationReport", "kummer_carries", "valuation_direct",
+                 "valuation_legendre", "valuation_lemma1"],
+    "coding": ["CodingParams", "PermutationTable", "PowerSpec", "compose_decomposition",
+               "decode", "encode", "encode_via_composition", "extended_shift", "iter_codes",
+               "permutation_table", "roots", "shift"],
+    "errors": ["DomainError", "EnumerationBoundExceeded", "InternalBijectivityViolation",
+               "PowerPermError"],
+    "padic": ["PrimeBase", "valuation"],
+}
+
+
+def test_exports_load_on_first_use_from_their_submodules():
+    script = """if True:
+        import importlib, json, sys
+        import powerperm
+        loaded = sorted(m for m in sys.modules if m.startswith("powerperm."))
+        listed = dir(powerperm)
+        exports = json.loads(sys.argv[1])
+        print(json.dumps({
+            "loaded": loaded,
+            "all": powerperm.__all__,
+            "dir": [name for name in ["__all__", *powerperm.__all__] if name in listed],
+            "same": [name for module, names in exports.items() for name in names
+                     if getattr(powerperm, name)
+                     is getattr(importlib.import_module("powerperm." + module), name)],
+        }))
+    """
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(EXPORTS)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["loaded"] == []
+    assert got["all"] == sorted(name for names in EXPORTS.values() for name in names)
+    assert len(got["all"]) == 30
+    assert got["dir"] == ["__all__", *got["all"]]
+    assert sorted(got["same"]) == got["all"]

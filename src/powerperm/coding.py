@@ -454,41 +454,36 @@ def _decode_unit_exponent(params: CodingParams, code: int) -> int:
 
 
 def _decode_lift(params: CodingParams, code: int) -> int:
-    # p divides n: recover x_u digit by digit. For p == 2 a digit of x_u can
-    # disturb the code one position below the newest one, so candidates are
-    # filtered with a one-digit lag and pinned by the full window at the end.
-    p, n = params.p.p, params.power.n
-    a = shift(params.power, params.p)
-    lag = 1 if p == 2 else 0
+    # p divides n: Hensel lifting with precision doubling. Where y**n == w mod
+    # p**(k+t), the terms of degree >= 2 in c of (y + c*p**t)**n vanish mod
+    # p**(k+t+s) for s <= t (s < t for p == 2, where C(n, 2) has valuation
+    # k - 1), so the next s digits c solve one linear congruence.
+    p, l, (n, q, k) = params.p.p, params.l, params.power
+    two = int(p == 2)
     w = _low_window_value(params, code)
-    cands = [params.r]
-    for t in range(1, params.l + 1):
-        modulus = p ** (a + max(0, t - lag))
-        target = w % modulus
-        step = p**t
-        cands = [
-            y + c * step
-            for y in cands
-            for c in range(p)
-            if pow(y + c * step, n, modulus) == target
-        ]
-        if not cands:
-            raise InternalBijectivityViolation("digit lifting lost all candidates")
-    full = p ** (a + params.l)
-    final = [y for y in cands if pow(y, n, full) == w % full]
-    if len(final) != 1:
-        raise InternalBijectivityViolation(
-            f"digit lifting ended with {len(final)} candidates"
-        )
-    return (final[0] - params.r) // p
+    y, t, top = params.r, 1 + two, l + 1 + two  # for p == 2, lift x == 1 mod 4
+    while t < top:
+        s = min(t - two, top - t)
+        high = p ** (k + t + s)
+        d = pow(y, n - 1, high)
+        c = (w - d * y) % high // p ** (k + t) * pow(q * d, -1, p**s) % p**s
+        y, t = y + c * p**t, t + s
+    if y >= p ** (l + 1):  # only for p == 2: x and -x share their power
+        y = p ** (l + 2) - y
+    return (y - params.r) // p
 
 
 def decode(params: CodingParams, code: int) -> int:
     """The unique x' with encode(params, x') == code, without building a table.
 
-    One modular inverse exponent when p does not divide n, digit-wise
-    lifting otherwise. Bulk callers invert a whole block with
+    One modular inverse exponent when p does not divide n, Hensel lifting
+    with precision doubling otherwise. Bulk callers invert a whole block with
     permutation_table(params).inverse_image().
+
+    Examples:
+        >>> params = CodingParams.make(p=3, n=6, l=4, r=2)
+        >>> decode(params, encode(params, 50))
+        50
     """
     if not 0 <= code < params.size():
         raise DomainError(f"code must lie in [0, {params.size()}); got {code}")

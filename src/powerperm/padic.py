@@ -68,6 +68,8 @@ def valuation(x: int, base: PrimeBase) -> int:
     p = base.p
     if p == 2:
         return (x & -x).bit_length() - 1
+    if x % p:
+        return 0
     # Divide by p, p**2, p**4, ... while they divide; the rest of the
     # valuation is then below the last exponent tried, and its binary digits
     # come from the same powers in reverse. O(log v) divisions in all.

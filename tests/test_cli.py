@@ -10,6 +10,7 @@ import pytest
 
 from powerperm import binomial
 from powerperm.cli import main
+from powerperm.coding import CodingParams, encode
 from powerperm.padic import PrimeBase
 
 
@@ -282,6 +283,33 @@ def test_largest_64_bit_prime_finishes_quickly():
         proc = cli(*argv)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: enumeration would need")
+
+
+def test_decode_with_a_huge_exponent_and_width_finishes_quickly():
+    # 2**7 divides n, so decode lifts: O(log l) powers, each O(log n) products
+    proc = subprocess.run(
+        [sys.executable, "-m", "powerperm", "decode",
+         "--p", "2", "--n", "10000000", "--l", "10000", "--r", "1", "--code", "5"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert encode(CodingParams.make(p=2, n=10**7, l=10**4, r=1), int(proc.stdout)) == 5
+
+
+def test_decode_with_the_largest_64_bit_prime_dividing_n_finishes_quickly():
+    # p = n = 2**64 - 59: lifting solves for digits, never tries each of p
+    p = 2**64 - 59
+    proc = subprocess.run(
+        [sys.executable, "-m", "powerperm", "decode",
+         "--p", str(p), "--n", str(p), "--l", "4", "--r", "5", "--code", "7"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert encode(CodingParams.make(p=p, n=p, l=4, r=5), int(proc.stdout)) == 7
 
 
 def test_rejects_composite_base(capsys):

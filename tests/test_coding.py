@@ -691,6 +691,21 @@ def test_round_trip_property(data):
     assert decode(params, z) == permutation_table(params).inverse_image()[z] == xp
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_decode_round_trip_at_shifts_past_the_grids(data):
+    # the decode grids stop at k = 4 and a few digits; lifting has no such limit
+    p = data.draw(st.sampled_from((2, 3, 5, 13, 2**61 - 1)))
+    k = data.draw(st.integers(1, 2 if p > 13 else 30))
+    q = data.draw(st.integers(1, 1000).filter(lambda q: q % p))
+    l = data.draw(st.integers(1, 300))
+    r = data.draw(st.integers(1, p - 1))
+    j = data.draw(st.integers(0, 2))
+    params = CodingParams.make(p=p, n=q * p**k, l=l, r=r, j=j)
+    xp = data.draw(st.integers(0, params.size() - 1))
+    assert decode(params, encode(params, xp)) == xp
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_window_oracle_property(data):

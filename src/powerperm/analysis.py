@@ -94,11 +94,11 @@ def cycle_structure(table: PermutationTable) -> CycleReport:
     composed affine map G(v) = alpha + beta * v mod p**(l-h), and each
     t-cycle of G is one f-cycle of length m * t. G's cycle type comes in
     closed form, and fixed points come only from sigma-fixed columns, so
-    this costs O(p**h) plus the size of the report. Other blocks walk the
-    table entry by entry.
+    this costs O(p**h) plus the size of the report; where h == l, sigma is
+    f and each G has period 1. Where m < span it walks the table.
     """
     law = column_law(table.params, table.image)
-    if law is None or law[1] < law[0]:  # m < span: columns cover half cosets
+    if law[1] < law[0]:
         return _walk_cycles(table)
     span, _, heads, steps = law
     size = len(table.image)
@@ -162,14 +162,14 @@ def _affine_cycle_type(
 ) -> dict[int, int]:
     """{t: number of t-cycles} of G(v) = alpha + beta * v mod period.
 
-    period is a power of the prime p, beta is a unit mod p, and primes holds
-    every prime dividing p - 1. G**d(v) = beta**d * v + alpha * S_d with
+    period is a power of the prime p, beta is a unit mod period, and primes
+    holds every prime dividing p - 1. G**d(v) = beta**d * v + alpha * S_d with
     S_d = 1 + beta + ... + beta**(d-1), so G**d fixes g = gcd(beta**d - 1,
     period) points if g divides alpha * S_d, and none otherwise. ord(G)
     divides phi(period) * period, every cycle length divides ord(G), and
     Moebius inversion over its divisors (fixed points of G**t less the
     points on shorter cycles whose length divides t) counts the points on
-    cycles of each exact length.
+    cycles of each exact length. At period 1 this is {1: 1}.
     """
 
     def fixed(d: int) -> int:
@@ -181,7 +181,7 @@ def _affine_cycle_type(
         g = math.gcd(b, period)
         return g if alpha * s % g == 0 else 0
 
-    order = period * period // p * (p - 1)
+    order = period * (period - period // p)  # phi(period) * period
     divisors = [1]
     for q in (*primes, p):
         while order % q == 0 and fixed(order // q) == period:

@@ -10,7 +10,9 @@ commands and the format that use them.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import re
 import sys
 from array import array
 from collections.abc import Callable, Iterable, Iterator
@@ -27,6 +29,8 @@ _EXIT_DOMAIN = 3
 _CHUNK = 4096  # rows or values turned into text per write
 # Most bits valuation takes in a top; its routes are quadratic in them (CPython's division).
 _TOP_BITS = 1 << 20
+# Decimal digits of 2**_TOP_BITS: a top with more has more than _TOP_BITS bits.
+_TOP_DIGITS = int(_TOP_BITS * math.log10(2)) + 1
 
 
 def _joined(sep: str, pieces: Iterable[str]) -> Iterator[str]:
@@ -159,15 +163,15 @@ def cmd_valuation(ns: argparse.Namespace) -> int:
         if ns.k is None or ns.j is None:
             raise PowerPermError("the closed-form query needs both --k and --j")
         # p**k has at least k * log2(p) bits, so one far past the bound is never built
-        top = base.p**ns.k if ns.k <= (_TOP_BITS + 1) / math.log2(ns.p) else None
-        bottom = ns.j
+        reports = ([binomial.valuation_lemma1(base, ns.k, ns.j)]
+                   if ns.k <= (_TOP_BITS + 1) / math.log2(ns.p) else [])
+        top, bottom = reports[0].top if reports else None, ns.j
     else:
         if ns.top is None or ns.bottom is None:
             raise PowerPermError("the general query needs both --top and --bottom")
-        top, bottom = ns.top, ns.bottom
+        top, bottom, reports = ns.top, ns.bottom, []
     if top is None or top.bit_length() > _TOP_BITS:
         raise PowerPermError(f"top has more than {_TOP_BITS} bits")
-    reports = [binomial.valuation_lemma1(base, ns.k, ns.j)] if lemma_form else []
     reports.append(binomial.kummer_carries(base, top, bottom))
     reports.append(binomial.valuation_legendre(base, top, bottom))
     if top <= binomial.DIRECT_BOUND:
@@ -219,6 +223,22 @@ def _non_negative(text: str) -> int:
     return value
 
 
+@functools.wraps(_non_negative)  # argparse names the type in its errors
+def _top(text: str) -> int:
+    # cmd_valuation refuses any top of more significant digits than _TOP_DIGITS,
+    # so 2**_TOP_BITS stands in for it, unparsed, as int() is quadratic in the
+    # digits. Other texts, and those past int()'s digit limit, reach int().
+    match = re.fullmatch(r"\s*([+-]?)([0-9]+(?:_[0-9]+)*)\s*", text)
+    if match:
+        digits = match[2].replace("_", "")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if len(digits.lstrip("0")) > _TOP_DIGITS and not 0 < limit < len(digits):
+            if match[1] == "-":
+                raise argparse.ArgumentTypeError("must be non-negative")
+            return 1 << _TOP_BITS
+    return _non_negative(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("plain", "csv", "json"),
@@ -226,6 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="write output to this file instead of stdout")
     common.add_argument("--max-table-bits", type=_table_bits, default=coding.TABLE_BITS,
                         help="refuse enumerations beyond 2**BITS entries")
+    common.add_argument("--p", type=_positive, required=True)
 
     parser = argparse.ArgumentParser(
         prog="powerperm",
@@ -234,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("shift", parents=[common],
                         help="digit position where the permuted window starts")
-    sp.add_argument("--p", type=_positive, required=True)
     sp.add_argument("--n", type=_positive, required=True)
     sp.add_argument("--j", type=_non_negative, default=0)
     sp.set_defaults(func=cmd_shift)
@@ -246,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("plotdata", cmd_plotdata, ()),
     ):
         sp = sub.add_parser(name, parents=[common])
-        sp.add_argument("--p", type=_positive, required=True)
         sp.add_argument("--n", type=_positive, required=True)
         sp.add_argument("--l", type=_positive, required=True)
         sp.add_argument("--r", type=_non_negative, required=True)
@@ -257,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("root", parents=[common],
                         help="recover x from an exact power x**n")
-    sp.add_argument("--p", type=_positive, required=True)
     sp.add_argument("--n", type=_positive, required=True)
     sp.add_argument("--l", type=_positive, required=True)
     sp.add_argument("--z", type=_positive, required=True)
@@ -265,17 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", parents=[common],
                         help="audit bijectivity over a parameter sweep")
-    sp.add_argument("--p", type=_positive, required=True)
     sp.add_argument("--n", type=_positive, required=True)
     sp.add_argument("--lmax", type=_positive, required=True)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("valuation", parents=[common],
                         help="p-adic valuation of a binomial coefficient")
-    sp.add_argument("--p", type=_positive, required=True)
     sp.add_argument("--k", type=_positive, default=None)
     sp.add_argument("--j", type=_positive, default=None)
-    sp.add_argument("--top", type=_non_negative, default=None)
+    sp.add_argument("--top", type=_top, default=None)
     sp.add_argument("--bottom", type=_non_negative, default=None)
     sp.set_defaults(func=cmd_valuation)
 

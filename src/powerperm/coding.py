@@ -99,17 +99,10 @@ class PermutationTable(record("PermutationTable", "params image")):
         inv(c0 + m * t) = U + span * V + span * W * t. Where m < span (p == 2
         and k >= 1), that lands on the doubled domain x' < 2**(l+1), and
         x = 2*x' + 1 and -x share their power, so x' >= 2**l folds to
-        2**(l+1) - 1 - x': its low l + 1 bits flipped. Blocks without a
-        column law are inverted entry by entry.
+        2**(l+1) - 1 - x': its low l + 1 bits flipped.
         """
         image = self.image
-        law = column_law(self.params, image)
-        if law is None:
-            inv = array(image.typecode, [0]) * len(image)
-            for x, z in enumerate(image):
-                inv[z] = x
-            return inv
-        span, m, heads, steps = law
+        span, m, heads, steps = column_law(self.params, image)
         period = len(image) // m
         inv_heads, inv_steps = [0] * m, [0] * m
         for u, a, b in zip(range(m), heads, steps):
@@ -209,11 +202,16 @@ def _code_chunks(params: CodingParams) -> Iterator[list[int] | array]:
     scale = n * p ** (h + 1 - shift(params.power, params.p)) if h < l else 0
     for start in range(0, span, _HEAD_CHUNK):
         ys = range(p * start + r, p * min(start + _HEAD_CHUNK, span) + r, p)
-        codes = [pow(y, n, modulus) // pa for y in ys]
+        if h == l:  # no steps; and y**n may cost less than y**(n-1), as for n = 2**13
+            yield [pow(y, n, modulus) // pa for y in ys]
+            continue
+        # one pow per head: p**l divides modulus, so d = y**(n-1) mod modulus
+        # gives B_u's power mod p**l too
+        ds = [pow(y, n - 1, modulus) for y in ys]
+        codes = [d * y % modulus // pa for d, y in zip(ds, ys)]
         yield codes
-        if h < l:
-            heads.extend(codes)
-            steps.extend([scale * pow(y, n - 1, size) % size for y in ys])
+        heads.extend(codes)
+        steps.extend([scale * d % size for d in ds])
     if h < l:
         packed = _packed_lanes(heads, steps, size, size // span - 1)
         yield from _unpacked(_typecode(4 * size), span, packed, _typecode(size))
@@ -277,11 +275,7 @@ def _collect(typecode: str, chunks: Iterable[list[int] | array]) -> array:
 
 
 def iter_codes(params: CodingParams) -> Iterator[int]:
-    """Yield encode(x') for x' = 0, 1, ..., p**l - 1, lazily.
-
-    The codes come from the block kernel _code_chunks: code(u + p**h * v)
-    = (A_u + B_u * v) mod p**l, one pow per u and lane-wise adds after that.
-    """
+    """Yield encode(x') for x' = 0, 1, ..., p**l - 1, lazily, from the kernel _code_chunks."""
     return chain.from_iterable(_code_chunks(params))
 
 
@@ -296,37 +290,36 @@ def check_enumeration(entries: int, max_entries: int) -> None:
 def code_array(params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES) -> array:
     """Every code of the block in x' order, in the smallest array that holds them.
 
-    This is the one full enumeration behind tables, audits and scatter data.
-    It stores the chunks of the block kernel _code_chunks, which steps
-    code(u + p**h * v) = (A_u + B_u * v) mod p**l lane-wise over v.
-    Raises EnumerationBoundExceeded when p**l > max_entries.
+    This is the one full enumeration behind tables, audits and scatter data:
+    the chunks of the block kernel _code_chunks, stored. Raises
+    EnumerationBoundExceeded when p**l > max_entries.
     """
     size = params.size()
     check_enumeration(size, max_entries)
     return _collect(_typecode(size) or "Q", _code_chunks(params))
 
 
-def column_law(params: CodingParams, codes: array) -> tuple[int, int, array, array] | None:
-    """The kernel's column law read off codes: (span, m, heads, steps), or None.
+def column_law(params: CodingParams, codes: array) -> tuple[int, int, array, array]:
+    """The kernel's column law read off codes: (span, m, heads, steps).
 
     With h = _kernel_width(params) and span = p**h, heads = codes[:span]
     and steps = codes[span:2 * span] - heads mod p**l, both arrays of codes'
     typecode. Where codes is the block's code array, codes[u + span * v] =
-    (heads[u] + steps[u] * v) mod p**l, each steps[u] is m times a unit,
-    and column u takes its codes from the coset of heads[u] mod m:
+    (heads[u] + steps[u] * v) mod p**l, and column u takes its codes from
+    the coset of heads[u] mod m:
 
     - for odd p, or p == 2 with k == 0, m = span and column u takes every
       code of its coset once;
     - for p == 2 with k >= 1, m = span // 2 and column u takes half of its
-      coset; column span - 1 - u, the column of -x, takes the other half.
+      coset; column span - 1 - u, the column of -x, takes the other half;
+    - where h reaches l, span = m = p**l, heads = codes and every step is 0.
 
-    None where the kernel's h reaches l.
+    Where h < l, each steps[u] is m times a unit.
     """
     p, l = params.p.p, params.l
-    h = _kernel_width(params)
-    if h == l:
-        return None
-    span, size = p**h, params.size()
+    span, size = p ** _kernel_width(params), params.size()
+    if span == size:
+        return size, size, codes, array(codes.typecode, [0]) * size
     heads = codes[:span]
     steps = array(codes.typecode, ((b - a) % size for a, b in zip(heads, codes[span:2 * span])))
     return span, span // 2 if p == 2 and params.power.k else span, heads, steps
@@ -335,10 +328,10 @@ def column_law(params: CodingParams, codes: array) -> tuple[int, int, array, arr
 def _column_law_certifies(params: CodingParams, codes: array) -> bool:
     """True when codes provably holds each of 0, ..., p**l - 1 once.
 
-    With (span, m, A, B) = column_law(params, codes), every later block of
-    span codes must equal the block before it plus B, mod p**l, lane by
-    lane, as _packed_lanes steps it. Then codes[u + span * v] = (A_u + B_u *
-    v) mod p**l for every u and v, and with each B_u m times a unit:
+    With (span, m, A, B) = column_law(params, codes), each B_u must be m
+    times a unit, and every later block of span codes must equal the block
+    before it plus B, mod p**l, lane by lane, as _packed_lanes steps it.
+    Then codes[u + span * v] = (A_u + B_u * v) mod p**l for every u and v:
 
     - where m == span, column u covers the coset of A_u mod m once, so heads
       distinct mod m make a permutation;
@@ -347,36 +340,26 @@ def _column_law_certifies(params: CodingParams, codes: array) -> bool:
       the other half when A_u* = A_u - B_u and B_u* = -B_u mod 2**l. So the
       pairs of the u below m, with heads distinct mod m, make a permutation.
 
-    False when a test fails, when h == l, or when codes is not of typecode
-    _typecode(p**l).
+    False when a test fails, or when codes is not of typecode _typecode(p**l).
+    The O(m) step test comes first, so a law with h == l, whose steps are 0,
+    fails at once and its block pays nothing here before the scan.
     """
-    size = params.size()
-    law = column_law(params, codes)
-    if law is None or len(codes) != size or codes.typecode != _typecode(size):
+    size, p = params.size(), params.p.p
+    if len(codes) != size or codes.typecode != _typecode(size):
         return False
-    span, m, heads, steps = law
+    span, m, heads, steps = column_law(params, codes)
     # heads and steps stay arrays, so the check holds less than the scan's
-    # byte per entry
-    if max(heads) >= size:  # so that no lane overflows
+    # byte per entry; max(heads) < size keeps every lane from overflowing
+    if not all(b % m == 0 and b // m % p for b in steps[:m]) or max(heads) >= size:
         return False
     packed = _packed_lanes(heads, steps, size, size // span - 1)
     blocks = _unpacked(_typecode(4 * size), span, packed, codes.typecode)
     if any(block != codes[x:x + span] for x, block in zip(range(span, size, span), blocks)):
         return False
-    p = params.p.p
     # column u's partner u* = span - 1 - u is its mirror in heads and steps
-    return (_distinct_mod(heads[:m], m)
-            and all(b % m == 0 and b // m % p for b in steps[:m])
+    return (len({a % m for a in heads[:m]}) == m
             and (m == span or all(a_ == (a - b) % size and b_ == -b % size for a, b, a_, b_
                                   in zip(heads[:m], steps[:m], heads[::-1], steps[::-1]))))
-
-
-def _distinct_mod(values: array, m: int) -> bool:
-    """Whether the m values are distinct mod m."""
-    seen = bytearray(m)
-    for a in values:
-        seen[a % m] = 1
-    return seen.find(0) < 0
 
 
 def first_collision(codes: array) -> tuple[int, int] | None:
@@ -404,10 +387,9 @@ def block_collision(params: CodingParams, codes: array) -> tuple[int, int] | Non
     """first_collision(codes), skipping the scan where _column_law_certifies codes.
 
     Below _SCAN_FLOOR codes the scan runs without the law check, which costs
-    more there. Best of 7 on a shared 2-vCPU x86-64 machine, (p, n, l) =
-    (3, 4, 5) with 243 codes took 60 us to certify and 7 us to scan,
-    (2, 6, 10) with 1024 took 104 us and 63 us, and (3, 4, 7) with 2187
-    took 98 us and 95 us, against 200 us and 238 us at (2, 6, 12) with 4096.
+    more there: best of 7 on a shared 2-vCPU x86-64 machine, certify against
+    scan took 60 against 7 us on 243 codes, (p, n, l) = (3, 4, 5), and 200
+    against 238 us on 4096, (2, 6, 12).
     """
     if len(codes) < _SCAN_FLOOR:
         return first_collision(codes)

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from powerperm import binomial
+from powerperm import binomial, cli
 from powerperm.cli import main
 from powerperm.coding import CodingParams, encode
 from powerperm.padic import PrimeBase
@@ -611,6 +611,36 @@ def test_valuation_refuses_a_top_past_the_bit_bound(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_valuation_refuses_a_long_top_before_parsing_it(capsys):
+    # A top with more significant digits than 2**(2**20) (315,653) is refused
+    # with the bit check's message, without int()'s quadratic parse, which
+    # took over a second for 400,000 digits; a negative one and one past
+    # int()'s digit limit (10**6, set by main) get argparse's errors as before.
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(1 << cli._TOP_BITS)) == cli._TOP_DIGITS == 315_653
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(limit)
+    bits = "error: top has more than 1048576 bits\n"
+    past = "9" * 1_000_001
+    for top, want in (("9" * 400_000, bits),
+                      (" \t00" + "1_2" * 157_827 + "\n", bits),
+                      ("-" + "7" * 400_000, "error: argument --top: must be non-negative\n"),
+                      (past, f"error: argument --top: invalid _non_negative value: '{past}'\n")):
+        start = time.perf_counter()
+        try:
+            code, out, err = run(capsys, "valuation", "--p", "2", "--top", top, "--bottom", "1")
+        except SystemExit as exc:
+            code, (out, err) = exc.code, capsys.readouterr()
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == want if want == bits else err.endswith(f"powerperm valuation: {want}")
 
 
 def test_valuation_csv(capsys):

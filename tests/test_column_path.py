@@ -82,9 +82,12 @@ def test_column_path_matches_loops_on_grid():
         table = permutation_table(params)
         assert_matches_loops(table)
         size = params.size()
-        law = column_law(params, table.image)
-        if law is None or law[1] < law[0]:
-            kinds["two, k >= 1" if p == 2 and params.power.k else "h = l"] += 1
+        span, m, heads, steps = column_law(params, table.image)
+        if span == size:
+            kinds["h = l"] += 1
+            assert m == size and heads == table.image and not any(steps), params
+        elif m < span:
+            kinds["two, k >= 1"] += 1
         else:
             kinds["columns"] += 1
             if n == 1:
@@ -94,7 +97,9 @@ def test_column_path_matches_loops_on_grid():
                 kinds["wide lanes"] += 1
             if pow(r, n, p) != r:
                 kinds["r**n != r"] += 1
-    assert kinds == {"columns": 3658, "two, k >= 1": 168, "h = l": 118,
+    # "h = l" counts the 39 blocks with p = 2, k >= 1 and h = l too: their law
+    # is trivial, with m == span
+    assert kinds == {"columns": 3658, "two, k >= 1": 129, "h = l": 157,
                      "identity": 136, "wide lanes": 900, "r**n != r": 2101}
 
 
@@ -129,14 +134,42 @@ def test_column_law_describes_the_table():
                 assert steps[span - 1 - u] == -steps[u] % size
 
 
-def test_blocks_without_column_maps():
-    # p = 2 with k >= 1: B_u has valuation h - 1; p = 3 with n = 9 at l = 2:
-    # the shift 3 leaves no room for a linear step below the window
+def test_half_coset_and_trivial_laws():
+    # p = 2 with k >= 1: B_u has valuation h - 1, so m = span // 2; p = 3 with
+    # n = 9 at l = 2: the shift 3 leaves no room for a linear step below the
+    # window, so h = l and the law is trivial, with one code per column
     for p, n, l in ((2, 2, 10), (2, 12, 8), (3, 9, 2)):
         table = permutation_table(CodingParams.make(p=p, n=n, l=l, r=1))
-        law = column_law(table.params, table.image)
-        assert law is None or law[1] < law[0]
+        span, m, heads, steps = column_law(table.params, table.image)
+        if p == 2:
+            assert m == span // 2 < span < len(table)
+        else:
+            assert (span, m, heads, list(steps)) == (9, 9, table.image, [0] * 9)
         assert_matches_loops(table)
+
+
+# (p, n, l) with h = l at and above coding._SCAN_FLOOR codes: 4096 to 15625
+TRIVIAL_LAW_BLOCKS = ((2, 2**13, 12), (3, 3**8, 8), (2, 3 * 2**13, 12), (5, 5**6, 6))
+
+
+def test_trivial_law_blocks_match_the_loops():
+    for p, n, l in TRIVIAL_LAW_BLOCKS:
+        for r in range(1, p):
+            params = CodingParams.make(p=p, n=n, l=l, r=r)
+            size = params.size()
+            codes = array(code_array(params).typecode,
+                          [coding.encode(params, x) for x in range(size)])
+            assert size >= coding._SCAN_FLOOR
+            assert coding._kernel_width(params) == l
+            table = permutation_table(params)
+            assert table.image == codes
+            assert audit_bijectivity(params) == analysis.AuditResult(params, True, None)
+            assert first_collision(codes) is None
+            assert not coding._column_law_certifies(params, codes)
+            duplicated = array(codes.typecode, codes)
+            duplicated[-1] = duplicated[0]
+            assert block_collision(params, duplicated) == (0, size - 1)
+            assert_matches_loops(table)
 
 
 def test_sign_fold_inverse_on_larger_blocks():

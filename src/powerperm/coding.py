@@ -165,30 +165,31 @@ def _typecode(bound: int) -> str | None:
 def _kernel_width(params: CodingParams) -> int:
     """Digits h of the block kernel's head: x' = u + p**h * v with u < p**h.
 
-    The smallest h with h + 1 >= a and 2*(h+1) >= a + l for the shift a, or
-    l when that reaches l or when lanes of 4 * p**l do not fit in 64 bits.
+    The smallest h with 2*h >= l - 1, or 2*h >= l + 1 for p == 2 with
+    k >= 1 (see _code_chunks). l when that reaches l, which it does only
+    for p == 2 with k >= 1 and l <= 2, or when lanes of 4 * p**l do not
+    fit in 64 bits.
     """
-    a, l = shift(params.power, params.p), params.l
-    h = max(a, (a + l + 1) // 2) - 1
-    if h >= l or _typecode(4 * params.size()) is None:
-        return l
-    return h
+    l = params.l
+    h = (l + 2) // 2 if params.p.p == 2 and params.power.k else l // 2
+    return h if h < l and _typecode(4 * params.size()) else l
 
 
 def _code_chunks(params: CodingParams) -> Iterator[list[int] | array]:
     """The one enumeration kernel: every code of the block, in x' order, in chunks.
 
     Write x' = u + p**h * v with u < p**h (h from _kernel_width), so that
-    x = y + p**(h+1) * v with y = p*u + r. Once h + 1 >= a and
-    2*(h+1) >= a + l, for the shift a, every binomial term of degree 2 or
-    more in v vanishes mod p**(a+l), and
+    x = y + p**(h+1) * v with y = p*u + r. For n = q * p**k, C(n, i) has
+    valuation at least max(0, k - v_p(i)), so each binomial term of degree
+    2 or more in v has valuation at least k + 2*(h+1) (less 1 for p == 2
+    with k >= 1), which h makes reach a + l for the shift a, whatever k is:
 
         code(u, v) = (A_u + B_u * v) mod p**l,
 
-    where A_u = code(u, 0) and B_u = n * y**(n-1) * p**(h+1-a) mod p**l. So
-    the head pass, the block v = 0, costs one pow per u, and _packed_lanes
-    steps the later blocks, each yielded as an array of typecode
-    _typecode(p**l). When h = l every code is its own pow. The v = 0 block
+    where A_u = code(u, 0) and B_u = y**(n-1) * n * p**(h+1) / p**a mod
+    p**l. So the head pass, the block v = 0, costs one pow per u, and
+    _packed_lanes steps the later blocks, each an array of typecode
+    _typecode(p**l); when h = l every code is its own pow. The v = 0 block
     is yielded in chunks of _HEAD_CHUNK codes as they are computed, so a
     caller that stops early pays for at most one chunk it does not take.
     """
@@ -199,19 +200,15 @@ def _code_chunks(params: CodingParams) -> Iterator[list[int] | array]:
     span = p**h
     heads: list[int] = []
     steps: list[int] = []
-    scale = n * p ** (h + 1 - shift(params.power, params.p)) if h < l else 0
+    scale = n * p ** (h + 1) // pa
     for start in range(0, span, _HEAD_CHUNK):
         ys = range(p * start + r, p * min(start + _HEAD_CHUNK, span) + r, p)
-        if h == l:  # no steps; and y**n may cost less than y**(n-1), as for n = 2**13
-            yield [pow(y, n, modulus) // pa for y in ys]
-            continue
-        # one pow per head: p**l divides modulus, so d = y**(n-1) mod modulus
-        # gives B_u's power mod p**l too
-        ds = [pow(y, n - 1, modulus) for y in ys]
+        ds = [pow(y, n - 1, modulus) for y in ys]  # p**l divides modulus: B_u's power too
         codes = [d * y % modulus // pa for d, y in zip(ds, ys)]
         yield codes
-        heads.extend(codes)
-        steps.extend([scale * d % size for d in ds])
+        if h < l:
+            heads.extend(codes)
+            steps.extend([scale * d % size for d in ds])
     if h < l:
         packed = _packed_lanes(heads, steps, size, size // span - 1)
         yield from _unpacked(_typecode(4 * size), span, packed, _typecode(size))
@@ -312,7 +309,8 @@ def column_law(params: CodingParams, codes: array) -> tuple[int, int, array, arr
       code of its coset once;
     - for p == 2 with k >= 1, m = span // 2 and column u takes half of its
       coset; column span - 1 - u, the column of -x, takes the other half;
-    - where h reaches l, span = m = p**l, heads = codes and every step is 0.
+    - where h reaches l (p == 2 with k >= 1 and l <= 2, so at most 4
+      codes), span = m = p**l, heads = codes and every step is 0.
 
     Where h < l, each steps[u] is m times a unit.
     """
@@ -328,10 +326,10 @@ def column_law(params: CodingParams, codes: array) -> tuple[int, int, array, arr
 def _column_law_certifies(params: CodingParams, codes: array) -> bool:
     """True when codes provably holds each of 0, ..., p**l - 1 once.
 
-    With (span, m, A, B) = column_law(params, codes), each B_u must be m
-    times a unit, and every later block of span codes must equal the block
-    before it plus B, mod p**l, lane by lane, as _packed_lanes steps it.
-    Then codes[u + span * v] = (A_u + B_u * v) mod p**l for every u and v:
+    With (span, m, A, B) = column_law(params, codes), every later block of
+    span codes must equal the block before it plus B, mod p**l, lane by
+    lane, as _packed_lanes steps it. Then codes[u + span * v] = (A_u + B_u *
+    v) mod p**l for every u and v, and with each B_u m times a unit:
 
     - where m == span, column u covers the coset of A_u mod m once, so heads
       distinct mod m make a permutation;
@@ -340,24 +338,27 @@ def _column_law_certifies(params: CodingParams, codes: array) -> bool:
       the other half when A_u* = A_u - B_u and B_u* = -B_u mod 2**l. So the
       pairs of the u below m, with heads distinct mod m, make a permutation.
 
-    False when a test fails, or when codes is not of typecode _typecode(p**l).
-    The O(m) step test comes first, so a law with h == l, whose steps are 0,
-    fails at once and its block pays nothing here before the scan.
+    False when a test fails (a trivial law's steps are 0), or when codes is
+    not of typecode _typecode(p**l).
     """
-    size, p = params.size(), params.p.p
+    size = params.size()
     if len(codes) != size or codes.typecode != _typecode(size):
         return False
     span, m, heads, steps = column_law(params, codes)
     # heads and steps stay arrays, so the check holds less than the scan's
-    # byte per entry; max(heads) < size keeps every lane from overflowing
-    if not all(b % m == 0 and b // m % p for b in steps[:m]) or max(heads) >= size:
+    # byte per entry
+    if max(heads) >= size:  # so that no lane overflows
         return False
     packed = _packed_lanes(heads, steps, size, size // span - 1)
     blocks = _unpacked(_typecode(4 * size), span, packed, codes.typecode)
     if any(block != codes[x:x + span] for x, block in zip(range(span, size, span), blocks)):
         return False
+    p, seen = params.p.p, bytearray(m)  # heads distinct mod m mark every byte
+    for a in heads[:m]:
+        seen[a % m] = 1
     # column u's partner u* = span - 1 - u is its mirror in heads and steps
-    return (len({a % m for a in heads[:m]}) == m
+    return (seen.find(0) < 0
+            and all(b % m == 0 and b // m % p for b in steps[:m])
             and (m == span or all(a_ == (a - b) % size and b_ == -b % size for a, b, a_, b_
                                   in zip(heads[:m], steps[:m], heads[::-1], steps[::-1]))))
 

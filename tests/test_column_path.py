@@ -97,10 +97,10 @@ def test_column_path_matches_loops_on_grid():
                 kinds["wide lanes"] += 1
             if pow(r, n, p) != r:
                 kinds["r**n != r"] += 1
-    # "h = l" counts the 39 blocks with p = 2, k >= 1 and h = l too: their law
+    # "h = l" counts the 28 blocks with p = 2, k >= 1 and l <= 2: their law
     # is trivial, with m == span
-    assert kinds == {"columns": 3658, "two, k >= 1": 129, "h = l": 157,
-                     "identity": 136, "wide lanes": 900, "r**n != r": 2101}
+    assert kinds == {"columns": 3776, "two, k >= 1": 140, "h = l": 28,
+                     "identity": 136, "wide lanes": 900, "r**n != r": 2146}
 
 
 def test_column_path_on_larger_blocks():
@@ -135,37 +135,42 @@ def test_column_law_describes_the_table():
 
 
 def test_half_coset_and_trivial_laws():
-    # p = 2 with k >= 1: B_u has valuation h - 1, so m = span // 2; p = 3 with
-    # n = 9 at l = 2: the shift 3 leaves no room for a linear step below the
-    # window, so h = l and the law is trivial, with one code per column
-    for p, n, l in ((2, 2, 10), (2, 12, 8), (3, 9, 2)):
+    # p = 2 with k >= 1: B_u has valuation h - 1, so m = span // 2; at l = 2
+    # the sign pairing needs h = l, so the law is trivial, with one code per
+    # column. p = 3 with n = 9 at l = 2 has its shift 3 past l, and columns
+    # like any other block.
+    for p, n, l in ((2, 2, 10), (2, 12, 8), (2, 2, 2), (3, 9, 2)):
         table = permutation_table(CodingParams.make(p=p, n=n, l=l, r=1))
         span, m, heads, steps = column_law(table.params, table.image)
-        if p == 2:
-            assert m == span // 2 < span < len(table)
+        if p == 3:
+            assert m == span == 3
+        elif l == 2:
+            assert (span, m, heads, list(steps)) == (4, 4, table.image, [0] * 4)
         else:
-            assert (span, m, heads, list(steps)) == (9, 9, table.image, [0] * 9)
+            assert m == span // 2 < span < len(table)
         assert_matches_loops(table)
 
 
-# (p, n, l) with h = l at and above coding._SCAN_FLOOR codes: 4096 to 15625
-TRIVIAL_LAW_BLOCKS = ((2, 2**13, 12), (3, 3**8, 8), (2, 3 * 2**13, 12), (5, 5**6, 6))
+# (p, n, l) whose shift 1 + k (+1) exceeds l, at and above coding._SCAN_FLOOR
+# codes: 4096 to 15625. The kernel's width does not depend on k, so these
+# step lanes and are certified like any other block.
+HIGH_SHIFT_BLOCKS = ((2, 2**13, 12), (3, 3**8, 8), (2, 3 * 2**13, 12), (5, 5**6, 6))
 
 
-def test_trivial_law_blocks_match_the_loops():
-    for p, n, l in TRIVIAL_LAW_BLOCKS:
+def test_high_shift_blocks_match_the_loops():
+    for p, n, l in HIGH_SHIFT_BLOCKS:
         for r in range(1, p):
             params = CodingParams.make(p=p, n=n, l=l, r=r)
             size = params.size()
             codes = array(code_array(params).typecode,
                           [coding.encode(params, x) for x in range(size)])
             assert size >= coding._SCAN_FLOOR
-            assert coding._kernel_width(params) == l
+            assert coding.shift(params.power, params.p) > l > coding._kernel_width(params)
             table = permutation_table(params)
             assert table.image == codes
             assert audit_bijectivity(params) == analysis.AuditResult(params, True, None)
             assert first_collision(codes) is None
-            assert not coding._column_law_certifies(params, codes)
+            assert coding._column_law_certifies(params, codes)
             duplicated = array(codes.typecode, codes)
             duplicated[-1] = duplicated[0]
             assert block_collision(params, duplicated) == (0, size - 1)
@@ -196,8 +201,8 @@ def test_column_law_certifies_exactly_the_kernel_blocks_on_grid():
         assert block_collision(params, codes) == first_collision(codes) is None
         two = params.p.p == 2 and params.power.k > 0
         kinds[("certified" if certified else "scanned") + (", two, k >= 1" if two else "")] += 1
-    assert kinds == {"certified": 3658, "certified, two, k >= 1": 129,
-                     "scanned": 118, "scanned, two, k >= 1": 39}
+    assert kinds == {"certified": 3776, "certified, two, k >= 1": 140,
+                     "scanned, two, k >= 1": 28}
 
 
 # (p, n, l, r) with k = 0 and k >= 1 for odd p and for p = 2, each certified;

@@ -6,7 +6,6 @@ import math
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from itertools import chain
 
 from ._records import record
 from .coding import (
@@ -15,7 +14,6 @@ from .coding import (
     PermutationTable,
     block_collision,
     code_array,
-    column_law,
 )
 
 
@@ -86,52 +84,74 @@ def audit_bijectivity(
 def cycle_structure(table: PermutationTable) -> CycleReport:
     """Cycle decomposition; order is the lcm of the cycle lengths.
 
-    Where coding.column_law gives (span, m, A, B) with m == span, f(u +
-    span * v) = sigma[u] + span * ((tops[u] + betas[u] * v) mod p**(l-h)),
-    with sigma = A mod span, tops = A // span and units betas = B // span.
-    So f is a skew product over the column permutation sigma. For a
-    sigma-cycle (u_0 ... u_{m-1}), f**m maps column u_0 onto itself by the
-    composed affine map G(v) = alpha + beta * v mod p**(l-h), and each
-    t-cycle of G is one f-cycle of length m * t. G's cycle type comes in
-    closed form, and fixed points come only from sigma-fixed columns, so
-    this costs O(p**h) plus the size of the report; where h == l, sigma is
-    f and each G has period 1. Where m < span it walks the table.
+    For odd p, or p == 2 with k == 0, the block is f = g mod p**l for the
+    polynomial g(x') = ((p*x' + r)**n - c) / p**a, whose coefficients of
+    degree 2 and more are divisible by p. So f mod p**j is the width-j block,
+    and g' == q * r**(n-1) mod p (n mod 4 for p == 2) at every point. The
+    cycles are lifted one digit at a time from the single point of width 0.
+    For an m-cycle through x at width j, f**m maps the lift x + t * p**j to
+    x + (a*t + b) * p**j mod p**(j+1), with a = g'**m and b read off the
+    table. Where a == 1 mod p, each lift is an m-cycle if b == 0, and they
+    form one (m*p)-cycle otherwise, which for j >= 1 grows by p at every
+    width above (for p == 2, only where a == 1 mod 4). Otherwise the lift
+    t0 = b / (1 - a) is an m-cycle, and the other lifts form (p - 1) / d
+    cycles of length m * d, d the order of a. For p == 2 with k >= 1, g' is
+    even and f mod 2**j is no function of x' mod 2**j, so the table is walked.
+
+    Examples:
+        >>> from powerperm.coding import CodingParams, permutation_table
+        >>> report = cycle_structure(permutation_table(CodingParams.make(p=5, n=3, l=2, r=1)))
+        >>> report.cycle_lengths, report.fixed_points
+        ((1, 4, 20), (0,))
     """
-    law = column_law(table.params, table.image)
-    if law[1] < law[0]:
+    params, image = table.params, table.image
+    p, l, (n, q, k) = params.p.p, params.l, params.power
+    if n == 1:
+        return _cycle_report(params, Counter({1: len(image)}), range(len(image)))
+    if p == 2 and k:
         return _walk_cycles(table)
-    span, _, heads, steps = law
-    size = len(table.image)
-    period = size // span
-    sigma = [a % span for a in heads]
-    tops = [a // span for a in heads]
-    betas = [b // span for b in steps]
-    p = table.params.p.p
-    primes = _prime_factors(p - 1)
+    unit, mod = (n % 4, 4) if p == 2 else (q * pow(params.r, n - 1, p) % p, p)
     counts: Counter[int] = Counter()
-    fixed: list[range] = []
-    visited = bytearray(span)
-    for u0 in range(span):
-        if visited[u0]:
-            continue
-        alpha, beta, m, u = 0, 1, 0, u0
-        while not visited[u]:
-            visited[u] = 1
-            alpha = (tops[u] + betas[u] * alpha) % period
-            beta = beta * betas[u] % period
-            u = sigma[u]
-            m += 1
-        for t, count in _affine_cycle_type(alpha, beta, p, period, primes).items():
-            counts[m * t] += count
-        if m == 1:
-            # (beta - 1) * v == -alpha (mod period) holds on no v, or on one
-            # class mod period // g.
-            g = math.gcd(beta - 1, period)
-            if alpha % g == 0:
-                step = period // g
-                v0 = -(alpha // g) * pow((beta - 1) // g, -1, step) % step
-                fixed.append(range(u0 + span * v0, size, span * step))
-    return _cycle_report(table.params, counts, chain.from_iterable(fixed))
+    groups, width = {1: [0]}, 1  # m -> one point of each carried m-cycle
+    for j in range(l):
+        wider, lifted = width * p, {}
+        for m, xs in groups.items():
+            ys = xs
+            for _ in range(m):
+                ys = [image[y] % wider for y in ys]
+            a = pow(unit, m, mod)  # and f**m(x) = y = x + b * width
+            if a % p == 1:
+                kept = [x for x, y in zip(xs, ys) if x == y]
+                moved = [x for x, y in zip(xs, ys) if x != y]
+                lifted.setdefault(m, []).extend(
+                    [x + t for t in range(0, wider, width) for x in kept])
+                if a == 1 and j:  # growth from width 0 need not last
+                    counts[m * p ** (l - j)] += len(moved)
+                else:
+                    lifted.setdefault(m * p, []).extend(moved)
+            else:
+                reps, d = _orbit_reps(a, p)
+                inverse = pow(1 - a, -1, p)
+                t0s = [(y - x) // width * inverse % p for x, y in zip(xs, ys)]
+                lifted.setdefault(m, []).extend(x + t0 * width for x, t0 in zip(xs, t0s))
+                lifted.setdefault(m * d, []).extend(
+                    x + (t0 + s) % p * width for x, t0 in zip(xs, t0s) for s in reps)
+        groups = {m: xs for m, xs in lifted.items() if xs}
+        width = wider
+    counts.update({m: len(xs) for m, xs in groups.items()})
+    return _cycle_report(params, +counts, groups.get(1, ()))  # + drops zero counts
+
+
+def _orbit_reps(a: int, p: int) -> tuple[list[int], int]:
+    """One s from each orbit of s -> a * s on 1, ..., p - 1, and the orbits' length."""
+    seen, reps = bytearray(p), []
+    for s in range(1, p):
+        if not seen[s]:
+            reps.append(s)
+            while not seen[s]:
+                seen[s] = 1
+                s = s * a % p
+    return reps, (p - 1) // len(reps)
 
 
 def _cycle_report(params: CodingParams, counts: Counter, fixed: Iterable[int]) -> CycleReport:
@@ -143,57 +163,6 @@ def _cycle_report(params: CodingParams, counts: Counter, fixed: Iterable[int]) -
         fixed_points=tuple(sorted(fixed)),
         order=math.lcm(*counts),
     )
-
-
-def _prime_factors(m: int) -> list[int]:
-    """The distinct primes dividing m >= 1, by trial division."""
-    out, d = [], 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    return out + [m] if m > 1 else out
-
-
-def _affine_cycle_type(
-    alpha: int, beta: int, p: int, period: int, primes: list[int]
-) -> dict[int, int]:
-    """{t: number of t-cycles} of G(v) = alpha + beta * v mod period.
-
-    period is a power of the prime p, beta is a unit mod period, and primes
-    holds every prime dividing p - 1. G**d(v) = beta**d * v + alpha * S_d with
-    S_d = 1 + beta + ... + beta**(d-1), so G**d fixes g = gcd(beta**d - 1,
-    period) points if g divides alpha * S_d, and none otherwise. ord(G)
-    divides phi(period) * period, every cycle length divides ord(G), and
-    Moebius inversion over its divisors (fixed points of G**t less the
-    points on shorter cycles whose length divides t) counts the points on
-    cycles of each exact length. At period 1 this is {1: 1}.
-    """
-
-    def fixed(d: int) -> int:
-        if beta == 1:
-            b, s = 0, d
-        else:  # beta**d - 1 is exact mod period * (beta - 1), so S_d is too
-            b = pow(beta, d, period * (beta - 1)) - 1
-            s = b // (beta - 1)
-        g = math.gcd(b, period)
-        return g if alpha * s % g == 0 else 0
-
-    order = period * (period - period // p)  # phi(period) * period
-    divisors = [1]
-    for q in (*primes, p):
-        while order % q == 0 and fixed(order // q) == period:
-            order //= q
-        e = 0
-        while order % q ** (e + 1) == 0:
-            e += 1
-        divisors = [d * q**i for d in divisors for i in range(e + 1)]
-    points: dict[int, int] = {}
-    for t in sorted(divisors):
-        points[t] = fixed(t) - sum(n for d, n in points.items() if t % d == 0)
-    return {t: n // t for t, n in points.items() if n}
 
 
 def _walk_cycles(table: PermutationTable) -> CycleReport:

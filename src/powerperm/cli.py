@@ -31,6 +31,9 @@ _CHUNK = 4096  # rows or values turned into text per write
 _TOP_BITS = 1 << 20
 # Decimal digits of 2**_TOP_BITS: a top with more has more than _TOP_BITS bits.
 _TOP_DIGITS = int(_TOP_BITS * math.log10(2)) + 1
+# The ASCII texts int() reads: a sign and digits, single underscores between
+# digits, and ASCII whitespace (not \x1c-\x1f) around them.
+_INTEGER = r"(?a)\s*([+-]?)([0-9]+(?:_[0-9]+)*)\s*"
 
 
 def _joined(sep: str, pieces: Iterable[str]) -> Iterator[str]:
@@ -200,8 +203,16 @@ def cmd_plotdata(ns: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+def _integer(text: str) -> int:
+    # int() takes time quadratic in the digits even to refuse a long malformed
+    # text, so an ASCII text is matched first; other scripts' digits reach int().
+    if text.isascii() and not re.fullmatch(_INTEGER, text):
+        raise ValueError(text)  # argparse names the option's type in its error
+    return int(text)
+
+
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -217,7 +228,7 @@ def _table_bits(text: str) -> int:
 
 
 def _non_negative(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value
@@ -228,7 +239,7 @@ def _top(text: str) -> int:
     # cmd_valuation refuses any top of more significant digits than _TOP_DIGITS,
     # so 2**_TOP_BITS stands in for it, unparsed, as int() is quadratic in the
     # digits. Other texts, and those past int()'s digit limit, reach int().
-    match = re.fullmatch(r"\s*([+-]?)([0-9]+(?:_[0-9]+)*)\s*", text)
+    match = re.fullmatch(_INTEGER, text)
     if match:
         digits = match[2].replace("_", "")
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

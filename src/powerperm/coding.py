@@ -165,13 +165,17 @@ def _typecode(bound: int) -> str | None:
 def _kernel_width(params: CodingParams) -> int:
     """Digits h of the block kernel's head: x' = u + p**h * v with u < p**h.
 
-    The smallest h with 2*h >= l - 1, or 2*h >= l + 1 for p == 2 with
-    k >= 1 (see _code_chunks). l when that reaches l, which it does only
-    for p == 2 with k >= 1 and l <= 2, or when lanes of 4 * p**l do not
-    fit in 64 bits.
+    Any h below l with 2*h >= l - 1, or 2*h >= l + 1 for p == 2 with k >= 1,
+    gives the kernel's law (see _code_chunks). This takes the smallest h
+    with 2*h >= l (l + 1 for p == 2 with k >= 1). For odd l, one digit less
+    saves powers but takes p times as many lane steps on p times fewer
+    lanes, and cost more: (p, n, l) = (11, 11, 5) and (7, 2, 5) built their
+    tables slower. l when that reaches l, which it does at l == 1, for
+    p == 2 with k >= 1 at l == 2, and when lanes of 4 * p**l do not fit in
+    64 bits.
     """
     l = params.l
-    h = (l + 2) // 2 if params.p.p == 2 and params.power.k else l // 2
+    h = (l + 2) // 2 if params.p.p == 2 and params.power.k else (l + 1) // 2
     return h if h < l and _typecode(4 * params.size()) else l
 
 
@@ -309,8 +313,8 @@ def column_law(params: CodingParams, codes: array) -> tuple[int, int, array, arr
       code of its coset once;
     - for p == 2 with k >= 1, m = span // 2 and column u takes half of its
       coset; column span - 1 - u, the column of -x, takes the other half;
-    - where h reaches l (p == 2 with k >= 1 and l <= 2, so at most 4
-      codes), span = m = p**l, heads = codes and every step is 0.
+    - where h reaches l (at l == 1, and for p == 2 with k >= 1 at l == 2),
+      span = m = p**l, heads = codes and every step is 0.
 
     Where h < l, each steps[u] is m times a unit.
     """

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import math
 from array import array
 
 import pytest
 
 from powerperm import analysis
 from powerperm.analysis import audit_bijectivity, cycle_structure, export_scatter
-from powerperm.coding import CodingParams, encode, permutation_table
+from powerperm.coding import CodingParams, encode, permutation_table, shift
 from powerperm.errors import EnumerationBoundExceeded
 
 
@@ -86,6 +87,80 @@ def test_order_annihilates_the_permutation():
         if report.order > 1:
             moved = [x for x in range(len(table)) if table.image[x] != x]
             assert moved
+
+
+# ------------------------------------------------------- cycles by lifting
+#
+# cycle_structure lifts the cycles of every block with odd p, or p = 2 and
+# k = 0, one digit at a time; each block below is pinned against the walk of
+# its table.
+
+# (p, l, n, rs)
+LIFT_PINS = (
+    # the sweep benchmark's shapes with such blocks, every r
+    *((p, l, n, range(1, p)) for p, l, n in ((3, 12, 4), (5, 8, 3), (7, 7, 2), (3, 8, 200),
+                                             (2, 16, 5), (11, 5, 11), (13, 4, 7), (5, 6, 25))),
+    # n = p**k, as in (11, 5, 11) and (5, 6, 25) above: g' == 1 mod p, so
+    # every cycle splits or grows, and the carried cycles grow like p**(l/2)
+    (3, 14, 3, (1, 2)), (7, 7, 7, (1, 6)),
+    # x**n == x mod 2**17, so every point splits at every width and is carried
+    (2, 16, 2**15 + 1, (1,)),
+    # For p = 2, g' == n mod 4 at every point. Where an m-cycle's multiplier
+    # n**m is 3 mod 4 and it moves its lifts, it is one 2m-cycle at the next
+    # width and need not grow further. Counting such cycles as grown gives
+    # the wrong cycle type here from l = 4 on, and on 135 of the 7800 blocks
+    # with p <= 13, n <= 60 (odd for p = 2), every r and p**l <= 2**12.
+    *((2, l, n, (1,)) for n in (3, 7) for l in range(2, 17)),
+)
+
+
+def assert_lift_matches_walk(p: int, n: int, l: int, r: int) -> None:
+    table = permutation_table(CodingParams.make(p=p, n=n, l=l, r=r))
+    assert cycle_structure(table) == analysis._walk_cycles(table), table.params
+
+
+def test_lift_matches_walk_on_pinned_blocks():
+    for p, l, n, rs in LIFT_PINS:
+        for r in rs:
+            assert_lift_matches_walk(p, n, l, r)
+
+
+def test_growth_is_for_good_from_width_one_on():
+    # A cycle that grows from width j >= 1 to j + 1 grows at every width above:
+    # g(x') = ((p*x' + r)**n - c) / p**a has every coefficient of degree
+    # i >= 2, C(n, i) * p**i * r**(n-i) / p**a, divisible by p, so that
+    # f**m(x0 + h) == f**m(x0) + (f**m)'(x0) * h (mod p * h**2).
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(1, 61, 2 if p == 2 else 1):
+            params = CodingParams.make(p=p, n=n, l=1, r=1)
+            a = shift(params.power, params.p)
+            assert all(math.comb(n, i) * p**i % p ** (a + 1) == 0 for i in range(2, n + 1))
+    # blocks in which a fixed point of width 1 with g' == 1 (mod 4 for p = 2)
+    # moves its lifts, and so grows from width 1 on
+    grown = 0
+    for p in (2, 3, 5, 7):
+        for n in range(2, 30, 2 if p == 2 else 1):
+            n += p == 2
+            for r in range(1, p):
+                params = CodingParams.make(p=p, n=n, l=4, r=r)
+                unit = n % 4 if p == 2 else params.power.q * pow(r, n - 1, p) % p
+                image = permutation_table(params).image
+                if unit == 1 and any(image[x] % p == x != image[x] % p**2 for x in range(p)):
+                    grown += 1
+                    assert_lift_matches_walk(p, n, 4, r)
+    assert grown == 43
+
+
+def test_growth_from_width_zero_is_not_for_good():
+    # The lift starts from the one point of width 0. Growth from width j is
+    # for good where p * h**2, h = p**j, falls past digit j + 1, as it does
+    # for j >= 1 but not j = 0: (p, n, r) = (3, 2, 2) is one 3-cycle at l = 1
+    # and three at l = 2. Counting growth from width 0 as for good gave the
+    # wrong cycle type on 60 of the 7800 blocks named above.
+    for l, lengths in ((1, (3,)), (2, (3, 3, 3)), (3, (9, 9, 9))):
+        table = permutation_table(CodingParams.make(p=3, n=2, l=l, r=2))
+        assert cycle_structure(table).cycle_lengths == lengths
+        assert_lift_matches_walk(3, 2, l, 2)
 
 
 # ------------------------------------------------------------------ scatter

@@ -643,6 +643,31 @@ def test_valuation_refuses_a_long_top_before_parsing_it(capsys):
         assert err == want if want == bits else err.endswith(f"powerperm valuation: {want}")
 
 
+def test_malformed_integers_are_refused_before_parsing(capsys):
+    # int() took over a second to refuse 400,000 digits followed by "x"; every
+    # integer option matches an ASCII text first and refuses it at once, with
+    # argparse's message, which names the option's type
+    bad = "9" * 400_000 + "x"
+    for argv, option, kind in (
+            (["valuation", "--p", "2", "--top", bad, "--bottom", "1"], "--top", "_non_negative"),
+            (["shift", "--p", "3", "--n", bad], "--n", "_positive"),
+            (["root", "--p", "3", "--n", "3", "--l", "2", "--z", bad], "--z", "_positive")):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith(f"powerperm {argv[0]}: error: argument {option}: "
+                            f"invalid {kind} value: '{bad}'\n")
+    # digits of other scripts still reach int(): Arabic-Indic 3 and 8
+    for argv, digit, other in ((["shift", "--p", "3", "--n"], "3", "\u0663"),
+                               (["root", "--p", "3", "--n", "3", "--l", "1", "--z"], "8", "\u0668")):
+        want = run(capsys, *argv, digit)
+        assert want[0] == 0
+        assert run(capsys, *argv, other) == want
+
+
 def test_valuation_csv(capsys):
     code, out, _ = run(
         capsys, "valuation", "--p", "3", "--k", "2", "--j", "3",

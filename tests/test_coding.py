@@ -385,7 +385,7 @@ def test_kernel_with_lanes_wider_than_codes():
 
 def test_kernel_where_every_code_is_its_own_power():
     # the shift 1 + k (+1) exceeds l; the kernel's width does not depend on
-    # k, and for p = 2 with k >= 1 at l <= 2 it takes h = l
+    # k, and it takes h = l at l = 1, and for p = 2 with k >= 1 at l = 2
     for p, n, ls in ((2, 2**12, range(1, 9)), (3, 3**6, range(1, 5))):
         for l in ls:
             for r in range(1, p):

@@ -1,4 +1,4 @@
-"""inverse_image, cycle_structure and the bijectivity check from the kernel's columns.
+"""inverse_image and the bijectivity check from the kernel's columns, and cycle_structure.
 
 Each is checked for exact equality against the per-entry loop it
 replaces, kept here (or as coding.first_collision) as the reference.
@@ -97,10 +97,10 @@ def test_column_path_matches_loops_on_grid():
                 kinds["wide lanes"] += 1
             if pow(r, n, p) != r:
                 kinds["r**n != r"] += 1
-    # "h = l" counts the 28 blocks with p = 2, k >= 1 and l <= 2: their law
-    # is trivial, with m == span
-    assert kinds == {"columns": 3776, "two, k >= 1": 140, "h = l": 28,
-                     "identity": 136, "wide lanes": 900, "r**n != r": 2146}
+    # "h = l" counts the 1015 blocks at l = 1 and the 14 with p = 2, k >= 1
+    # at l = 2: their law is trivial, with m == span
+    assert kinds == {"columns": 2775, "two, k >= 1": 140, "h = l": 1029,
+                     "identity": 101, "wide lanes": 900, "r**n != r": 1520}
 
 
 def test_column_path_on_larger_blocks():
@@ -201,8 +201,9 @@ def test_column_law_certifies_exactly_the_kernel_blocks_on_grid():
         assert block_collision(params, codes) == first_collision(codes) is None
         two = params.p.p == 2 and params.power.k > 0
         kinds[("certified" if certified else "scanned") + (", two, k >= 1" if two else "")] += 1
-    assert kinds == {"certified": 3776, "certified, two, k >= 1": 140,
-                     "scanned, two, k >= 1": 28}
+    # the scanned blocks are those at l = 1, and for p = 2, k >= 1 at l = 2
+    assert kinds == {"certified": 2775, "certified, two, k >= 1": 140,
+                     "scanned": 1001, "scanned, two, k >= 1": 28}
 
 
 # (p, n, l, r) with k = 0 and k >= 1 for odd p and for p = 2, each certified;

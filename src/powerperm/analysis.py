@@ -73,9 +73,9 @@ def audit_bijectivity(
 ) -> AuditResult:
     """Enumerate every output and report the first duplicate, if any.
 
-    The kernel's column law certifies most blocks without a per-entry scan
-    (see coding.block_collision). Memory is the code array, plus one byte
-    per block value where the scan runs.
+    The kernel's column law proves every block without a per-entry scan,
+    which runs only to locate a duplicate (see coding.block_collision).
+    Memory is the code array, plus at most one byte per block value.
     """
     collision = block_collision(params, code_array(params, max_entries))
     return AuditResult(params, ok=collision is None, collision=collision)
@@ -106,7 +106,8 @@ def cycle_structure(table: PermutationTable) -> CycleReport:
     """
     params, image = table.params, table.image
     p, l, (n, q, k) = params.p.p, params.l, params.power
-    if n == 1:
+    # n == 1 mod the exponent of the units mod p**(l+1): x**n == x, the identity
+    if (n - 1) % (2 ** max(l - 1, 1) if p == 2 else (p - 1) * p**l) == 0:
         return _cycle_report(params, Counter({1: len(image)}), range(len(image)))
     if p == 2 and k:
         return _walk_cycles(table)
@@ -166,18 +167,16 @@ def _cycle_report(params: CodingParams, counts: Counter, fixed: Iterable[int]) -
 
 
 def _walk_cycles(table: PermutationTable) -> CycleReport:
-    """Cycle decomposition by following every entry of the table."""
+    """Cycle decomposition by following each cycle of the table from its first entry."""
     image = table.image
-    size = len(image)
-    visited = bytearray(size)
+    visited = bytearray(len(image))
     counts: Counter[int] = Counter()
     fixed: list[int] = []
-    for start in range(size):
-        if visited[start]:
-            continue
-        length = 0
-        x = start
-        while not visited[x]:
+    start = -1
+    while (start := visited.find(0, start + 1)) >= 0:
+        visited[start] = 1
+        length, x = 1, image[start]
+        while x != start:
             visited[x] = 1
             x = image[x]
             length += 1

@@ -31,9 +31,9 @@ _CHUNK = 4096  # rows or values turned into text per write
 _TOP_BITS = 1 << 20
 # Decimal digits of 2**_TOP_BITS: a top with more has more than _TOP_BITS bits.
 _TOP_DIGITS = int(_TOP_BITS * math.log10(2)) + 1
-# The ASCII texts int() reads: a sign and digits, single underscores between
-# digits, and ASCII whitespace (not \x1c-\x1f) around them.
-_INTEGER = r"(?a)\s*([+-]?)([0-9]+(?:_[0-9]+)*)\s*"
+# The texts of ASCII digits int() reads: a sign and digits, single underscores
+# between digits, and whitespace (str.isspace(), but not \x1c-\x1f) around them.
+_INTEGER = r"[^\S\x1c-\x1f]*([+-]?)([0-9]+(?:_[0-9]+)*)[^\S\x1c-\x1f]*"
 
 
 def _joined(sep: str, pieces: Iterable[str]) -> Iterator[str]:

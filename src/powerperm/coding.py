@@ -13,7 +13,7 @@ import sys
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, islice, repeat
 
 from ._records import record
 from .errors import DomainError, EnumerationBoundExceeded, InternalBijectivityViolation
@@ -25,8 +25,6 @@ TABLE_BITS = 24
 MAX_TABLE_ENTRIES = 1 << TABLE_BITS
 # Codes per chunk in which the enumeration kernel hands out per-entry powers.
 _HEAD_CHUNK = 1 << 12
-# Fewest codes for which block_collision tries the column law before a scan.
-_SCAN_FLOOR = 1 << 12
 
 
 class PowerSpec(record("PowerSpec", "n q k")):
@@ -300,7 +298,7 @@ def code_array(params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES) -> ar
     return _collect(_typecode(size) or "Q", _code_chunks(params))
 
 
-def column_law(params: CodingParams, codes: array) -> tuple[int, int, array, array]:
+def column_law(params: CodingParams, codes: array) -> tuple[int, int, array, Iterable[int]]:
     """The kernel's column law read off codes: (span, m, heads, steps).
 
     With h = _kernel_width(params) and span = p**h, heads = codes[:span]
@@ -314,14 +312,15 @@ def column_law(params: CodingParams, codes: array) -> tuple[int, int, array, arr
     - for p == 2 with k >= 1, m = span // 2 and column u takes half of its
       coset; column span - 1 - u, the column of -x, takes the other half;
     - where h reaches l (at l == 1, and for p == 2 with k >= 1 at l == 2),
-      span = m = p**l, heads = codes and every step is 0.
+      span = m = p**l, heads = codes and every step is 0: steps is then
+      repeat(0, p**l), which allocates nothing.
 
     Where h < l, each steps[u] is m times a unit.
     """
     p, l = params.p.p, params.l
     span, size = p ** _kernel_width(params), params.size()
     if span == size:
-        return size, size, codes, array(codes.typecode, [0]) * size
+        return size, size, codes, repeat(0, size)
     heads = codes[:span]
     steps = array(codes.typecode, ((b - a) % size for a, b in zip(heads, codes[span:2 * span])))
     return span, span // 2 if p == 2 and params.power.k else span, heads, steps
@@ -333,24 +332,26 @@ def _column_law_certifies(params: CodingParams, codes: array) -> bool:
     With (span, m, A, B) = column_law(params, codes), every later block of
     span codes must equal the block before it plus B, mod p**l, lane by
     lane, as _packed_lanes steps it. Then codes[u + span * v] = (A_u + B_u *
-    v) mod p**l for every u and v, and with each B_u m times a unit:
+    v) mod p**l for every u and v, and the heads A_u for u < m must be
+    distinct mod m:
 
-    - where m == span, column u covers the coset of A_u mod m once, so heads
-      distinct mod m make a permutation;
+    - where m == p**l (a trivial law, span == p**l), each column is one
+      code, so distinct heads are the permutation;
+    - where m == span < p**l, each B_u must be m times a unit, so column u
+      covers the coset of A_u mod m once;
     - where m < span (p == 2 with k >= 1), column u covers half the coset of
-      A_u mod m, and its partner u* = span - 1 - u (the fold x <-> -x) covers
-      the other half when A_u* = A_u - B_u and B_u* = -B_u mod 2**l. So the
-      pairs of the u below m, with heads distinct mod m, make a permutation.
+      A_u mod m, and its partner u* = span - 1 - u (the fold x <-> -x) must
+      cover the other half: A_u* = A_u - B_u and B_u* = -B_u mod 2**l.
 
-    False when a test fails (a trivial law's steps are 0), or when codes is
-    not of typecode _typecode(p**l).
+    False when a test fails, or when codes is not of typecode
+    _typecode(p**l).
     """
     size = params.size()
     if len(codes) != size or codes.typecode != _typecode(size):
         return False
     span, m, heads, steps = column_law(params, codes)
-    # heads and steps stay arrays, so the check holds less than the scan's
-    # byte per entry
+    # heads and steps hold p**h values each, or are a trivial law's codes and
+    # repeat(0), so the proof holds at most the scan's byte per entry
     if max(heads) >= size:  # so that no lane overflows
         return False
     packed = _packed_lanes(heads, steps, size, size // span - 1)
@@ -358,11 +359,11 @@ def _column_law_certifies(params: CodingParams, codes: array) -> bool:
     if any(block != codes[x:x + span] for x, block in zip(range(span, size, span), blocks)):
         return False
     p, seen = params.p.p, bytearray(m)  # heads distinct mod m mark every byte
-    for a in heads[:m]:
+    for a in islice(heads, m):
         seen[a % m] = 1
     # column u's partner u* = span - 1 - u is its mirror in heads and steps
     return (seen.find(0) < 0
-            and all(b % m == 0 and b // m % p for b in steps[:m])
+            and (m == size or all(b % m == 0 and b // m % p for b in steps[:m]))
             and (m == span or all(a_ == (a - b) % size and b_ == -b % size for a, b, a_, b_
                                   in zip(heads[:m], steps[:m], heads[::-1], steps[::-1]))))
 
@@ -370,16 +371,10 @@ def _column_law_certifies(params: CodingParams, codes: array) -> bool:
 def first_collision(codes: array) -> tuple[int, int] | None:
     """The first pair (y, x), y < x, with codes[y] == codes[x], or None.
 
-    Uses one byte per block value; codes must lie in [0, len(codes)). The
-    first pass only marks codes, since they are distinct exactly when every
-    value gets marked; the slower pass that locates the pair runs only when
-    a code repeats.
+    One pass, with one byte per block value; codes must lie in
+    [0, len(codes)), and IndexError is raised where a code outside is met
+    before any repeat.
     """
-    seen = bytearray(len(codes))
-    for z in codes:
-        seen[z] = 1
-    if seen.find(0) < 0:
-        return None
     seen = bytearray(len(codes))
     for x, z in enumerate(codes):
         if seen[z]:
@@ -389,15 +384,18 @@ def first_collision(codes: array) -> tuple[int, int] | None:
 
 
 def block_collision(params: CodingParams, codes: array) -> tuple[int, int] | None:
-    """first_collision(codes), skipping the scan where _column_law_certifies codes.
+    """None where _column_law_certifies codes, else first_collision(codes).
 
-    Below _SCAN_FLOOR codes the scan runs without the law check, which costs
-    more there: best of 7 on a shared 2-vCPU x86-64 machine, certify against
-    scan took 60 against 7 us on 243 codes, (p, n, l) = (3, 4, 5), and 200
-    against 238 us on 4096, (2, 6, 12).
+    The column law proves every block a permutation, l == 1 blocks too, so
+    the scan runs only to locate the pair after a failed proof, and the
+    result, any error included, is the scan's.
+
+    Examples:
+        >>> params = CodingParams.make(p=7, n=3, l=1, r=2)
+        >>> block_collision(params, code_array(params))
+        >>> block_collision(params, array("B", [3, 1, 4, 1, 5, 0, 2]))
+        (1, 3)
     """
-    if len(codes) < _SCAN_FLOOR:
-        return first_collision(codes)
     return None if _column_law_certifies(params, codes) else first_collision(codes)
 
 

@@ -103,7 +103,7 @@ LIFT_PINS = (
     # n = p**k, as in (11, 5, 11) and (5, 6, 25) above: g' == 1 mod p, so
     # every cycle splits or grows, and the carried cycles grow like p**(l/2)
     (3, 14, 3, (1, 2)), (7, 7, 7, (1, 6)),
-    # x**n == x mod 2**17, so every point splits at every width and is carried
+    # x**n == x mod 2**17: the identity, answered without a lift
     (2, 16, 2**15 + 1, (1,)),
     # For p = 2, g' == n mod 4 at every point. Where an m-cycle's multiplier
     # n**m is 3 mod 4 and it moves its lifts, it is one 2m-cycle at the next
@@ -123,6 +123,24 @@ def test_lift_matches_walk_on_pinned_blocks():
     for p, l, n, rs in LIFT_PINS:
         for r in rs:
             assert_lift_matches_walk(p, n, l, r)
+
+
+def test_identity_blocks_are_answered_without_a_lift():
+    # lam, the exponent of the units mod p**(l+1), is (p - 1) * p**l, or
+    # 2**max(l - 1, 1) for p = 2. Where lam divides n - 1, x**n == x there
+    # and the block is the identity. The near miss n = 1 + lam // p (taken
+    # where it keeps k = 0) is no identity, so it must not take the shortcut.
+    for p, ls in ((2, (1, 2, 3, 12)), (3, (1, 2, 7)), (5, (1, 2, 5))):
+        for l in ls:
+            lam = 2 ** max(l - 1, 1) if p == 2 else (p - 1) * p**l
+            for n, identity in ((1 + lam, True), (1 + lam // p, False)):
+                if identity or l >= (3 if p == 2 else 2):
+                    for r in range(1, p):
+                        table = permutation_table(CodingParams.make(p=p, n=n, l=l, r=r))
+                        report = cycle_structure(table)
+                        assert report == analysis._walk_cycles(table), table.params
+                        everything = tuple(range(len(table)))
+                        assert (report.fixed_points == everything) == identity, table.params
 
 
 def test_growth_is_for_good_from_width_one_on():

@@ -616,7 +616,8 @@ def test_valuation_refuses_a_top_past_the_bit_bound(capsys):
 def test_valuation_refuses_a_long_top_before_parsing_it(capsys):
     # A top with more significant digits than 2**(2**20) (315,653) is refused
     # with the bit check's message, without int()'s quadratic parse, which
-    # took over a second for 400,000 digits; a negative one and one past
+    # took over a second for 400,000 digits (whitespace around them is
+    # str.isspace()'s, bar \x1c-\x1f, as in int()); a negative one and one past
     # int()'s digit limit (10**6, set by main) get argparse's errors as before.
     limited = hasattr(sys, "set_int_max_str_digits")
     if limited:
@@ -631,6 +632,7 @@ def test_valuation_refuses_a_long_top_before_parsing_it(capsys):
     past = "9" * 1_000_001
     for top, want in (("9" * 400_000, bits),
                       (" \t00" + "1_2" * 157_827 + "\n", bits),
+                      ("\u2003" + "9" * 400_000 + "\u2003", bits),
                       ("-" + "7" * 400_000, "error: argument --top: must be non-negative\n"),
                       (past, f"error: argument --top: invalid _non_negative value: '{past}'\n")):
         start = time.perf_counter()

@@ -7,6 +7,7 @@ replaces, kept here (or as coding.first_collision) as the reference.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from array import array
 from collections import Counter
 
@@ -151,8 +152,8 @@ def test_half_coset_and_trivial_laws():
         assert_matches_loops(table)
 
 
-# (p, n, l) whose shift 1 + k (+1) exceeds l, at and above coding._SCAN_FLOOR
-# codes: 4096 to 15625. The kernel's width does not depend on k, so these
+# (p, n, l) whose shift 1 + k (+1) exceeds l, of 2**12 codes and more:
+# 4096 to 15625. The kernel's width does not depend on k, so these
 # step lanes and are certified like any other block.
 HIGH_SHIFT_BLOCKS = ((2, 2**13, 12), (3, 3**8, 8), (2, 3 * 2**13, 12), (5, 5**6, 6))
 
@@ -164,7 +165,7 @@ def test_high_shift_blocks_match_the_loops():
             size = params.size()
             codes = array(code_array(params).typecode,
                           [coding.encode(params, x) for x in range(size)])
-            assert size >= coding._SCAN_FLOOR
+            assert size >= 2**12
             assert coding.shift(params.power, params.p) > l > coding._kernel_width(params)
             table = permutation_table(params)
             assert table.image == codes
@@ -191,19 +192,44 @@ def test_sign_fold_inverse_on_larger_blocks():
 
 
 def test_column_law_certifies_exactly_the_kernel_blocks_on_grid():
-    # Every block whose kernel has h < l is certified, and the result always
-    # equals the scan's.
+    # Every block is certified, those with a trivial law (h = l) too, and the
+    # result always equals the scan's.
     kinds: Counter[str] = Counter()
     for params in grid():
         codes = code_array(params)
         certified = coding._column_law_certifies(params, codes)
-        assert certified == (coding._kernel_width(params) < params.l), params
+        assert certified, params
         assert block_collision(params, codes) == first_collision(codes) is None
         two = params.p.p == 2 and params.power.k > 0
-        kinds[("certified" if certified else "scanned") + (", two, k >= 1" if two else "")] += 1
-    # the scanned blocks are those at l = 1, and for p = 2, k >= 1 at l = 2
-    assert kinds == {"certified": 2775, "certified, two, k >= 1": 140,
-                     "scanned": 1001, "scanned, two, k >= 1": 28}
+        kinds["certified" + (", two, k >= 1" if two else "")] += 1
+    # the 1001 blocks at l = 1, and the 28 with p = 2, k >= 1 at l = 2, are
+    # certified by their trivial law, whose heads are every code
+    assert kinds == {"certified": 3776, "certified, two, k >= 1": 168}
+
+
+def test_trivial_law_proves_a_wide_block_in_a_byte_per_entry(monkeypatch):
+    # An l = 1 block of 65537 codes is proved by its heads alone: no scan,
+    # and no array of zero steps, so block_collision holds the marks only.
+    params = CodingParams.make(p=65537, n=3, l=1, r=1)
+    codes = code_array(params)
+    assert coding._kernel_width(params) == params.l
+
+    def no_scan(codes):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(coding, "first_collision", no_scan)
+    assert block_collision(params, codes) is None
+    tracemalloc.start()
+    try:
+        assert block_collision(params, codes) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * len(codes)
+    duplicated = array(codes.typecode, codes)
+    duplicated[-1] = duplicated[0]
+    with pytest.raises(AssertionError, match="the scan ran"):
+        block_collision(params, duplicated)
 
 
 # (p, n, l, r) with k = 0 and k >= 1 for odd p and for p = 2, each certified;

@@ -12,7 +12,7 @@ from .coding import (
     MAX_TABLE_ENTRIES,
     CodingParams,
     PermutationTable,
-    block_collision,
+    checked_code_array,
     code_array,
 )
 
@@ -73,11 +73,12 @@ def audit_bijectivity(
 ) -> AuditResult:
     """Enumerate every output and report the first duplicate, if any.
 
-    The kernel's column law proves every block without a per-entry scan,
-    which runs only to locate a duplicate (see coding.block_collision).
-    Memory is the code array, plus at most one byte per block value.
+    The column law the kernel built the codes from proves every block
+    without a per-entry scan, which runs only to locate a duplicate (see
+    coding.checked_code_array). Memory is the code array and the kernel's
+    law, plus one byte per head, or per block value for a scan.
     """
-    collision = block_collision(params, code_array(params, max_entries))
+    collision = checked_code_array(params, max_entries)[1]
     return AuditResult(params, ok=collision is None, collision=collision)
 
 
@@ -131,28 +132,33 @@ def cycle_structure(table: PermutationTable) -> CycleReport:
                 else:
                     lifted.setdefault(m * p, []).extend(moved)
             else:
-                reps, d = _orbit_reps(a, p)
-                inverse = pow(1 - a, -1, p)
+                d, inverse = _order(a, p), pow(1 - a, -1, p)
                 t0s = [(y - x) // width * inverse % p for x, y in zip(xs, ys)]
                 lifted.setdefault(m, []).extend(x + t0 * width for x, t0 in zip(xs, t0s))
-                lifted.setdefault(m * d, []).extend(
-                    x + (t0 + s) % p * width for x, t0 in zip(xs, t0s) for s in reps)
+                if j == l - 1:  # the last lift: only the number of cycles is needed
+                    counts[m * d] += len(xs) * (p - 1) // d
+                else:  # one s from each orbit of s -> a * s: g**i for a primitive root g
+                    g = next(c for c in range(2, p) if _order(c, p) == p - 1)
+                    reps = [pow(g, i, p) for i in range((p - 1) // d)]
+                    lifted.setdefault(m * d, []).extend(
+                        x + (t0 + s) % p * width for x, t0 in zip(xs, t0s) for s in reps)
         groups = {m: xs for m, xs in lifted.items() if xs}
         width = wider
     counts.update({m: len(xs) for m, xs in groups.items()})
     return _cycle_report(params, +counts, groups.get(1, ()))  # + drops zero counts
 
 
-def _orbit_reps(a: int, p: int) -> tuple[list[int], int]:
-    """One s from each orbit of s -> a * s on 1, ..., p - 1, and the orbits' length."""
-    seen, reps = bytearray(p), []
-    for s in range(1, p):
-        if not seen[s]:
-            reps.append(s)
-            while not seen[s]:
-                seen[s] = 1
-                s = s * a % p
-    return reps, (p - 1) // len(reps)
+def _order(a: int, p: int) -> int:
+    """The order of a mod the prime p, from the primes of p - 1 by trial division."""
+    d, rest, f = p - 1, p - 1, 2
+    while rest > 1:
+        f = f if f * f <= rest else rest  # past the square root, rest is prime
+        while rest % f == 0:
+            rest //= f
+            if pow(a, d // f, p) == 1:
+                d //= f
+        f += 1
+    return d
 
 
 def _cycle_report(params: CodingParams, counts: Counter, fixed: Iterable[int]) -> CycleReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Generator, Iterable, Iterator
 from itertools import chain, islice, repeat
 
 from ._records import record
@@ -114,7 +114,7 @@ class PermutationTable(record("PermutationTable", "params image")):
         if m < span:
             ones = _pack(lane, [1] * m)
             packed = (e ^ ((e >> self.params.l) & ones) * (modulus - 1) for e in packed)
-        return _collect(image.typecode, _unpacked(lane, m, packed, image.typecode))
+        return _collect(image.typecode, _unpacked(lane, m, packed, image.typecode))[0]
 
 
 def shift(power: PowerSpec, base: PrimeBase) -> int:
@@ -177,7 +177,7 @@ def _kernel_width(params: CodingParams) -> int:
     return h if h < l and _typecode(4 * params.size()) else l
 
 
-def _code_chunks(params: CodingParams) -> Iterator[list[int] | array]:
+def _code_chunks(params: CodingParams) -> Generator[list[int] | array, None, tuple | None]:
     """The one enumeration kernel: every code of the block, in x' order, in chunks.
 
     Write x' = u + p**h * v with u < p**h (h from _kernel_width), so that
@@ -194,6 +194,8 @@ def _code_chunks(params: CodingParams) -> Iterator[list[int] | array]:
     _typecode(p**l); when h = l every code is its own pow. The v = 0 block
     is yielded in chunks of _HEAD_CHUNK codes as they are computed, so a
     caller that stops early pays for at most one chunk it does not take.
+    The generator returns the law it stepped, (heads, steps) = (A, B) as
+    lists of p**h values below p**l, or None where h = l.
     """
     p, n, r, l = params.p.p, params.power.n, params.r, params.l
     pa, modulus = _window_moduli(params)
@@ -214,6 +216,7 @@ def _code_chunks(params: CodingParams) -> Iterator[list[int] | array]:
     if h < l:
         packed = _packed_lanes(heads, steps, size, size // span - 1)
         yield from _unpacked(_typecode(4 * size), span, packed, _typecode(size))
+        return heads, steps
 
 
 def _pack(lane: str, values: list[int] | array) -> int:
@@ -265,12 +268,14 @@ def _unpacked(lane: str, span: int, packed: Iterable[int], typecode: str) -> Ite
         yield block
 
 
-def _collect(typecode: str, chunks: Iterable[list[int] | array]) -> array:
-    """One array of the given typecode holding every chunk, in order."""
+def _collect(typecode: str, chunks: Iterator[list[int] | array]) -> tuple[array, object]:
+    """One array of the given typecode holding every chunk, in order, and what chunks returns."""
     out = array(typecode)
-    for chunk in chunks:
-        out.extend(chunk)
-    return out
+    while True:
+        try:
+            out.extend(next(chunks))
+        except StopIteration as done:
+            return out, done.value
 
 
 def iter_codes(params: CodingParams) -> Iterator[int]:
@@ -289,33 +294,42 @@ def check_enumeration(entries: int, max_entries: int) -> None:
 def code_array(params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES) -> array:
     """Every code of the block in x' order, in the smallest array that holds them.
 
-    This is the one full enumeration behind tables, audits and scatter data:
-    the chunks of the block kernel _code_chunks, stored. Raises
+    The chunks of the block kernel _code_chunks, stored, as for scatter
+    data (tables and audits use checked_code_array). Raises
     EnumerationBoundExceeded when p**l > max_entries.
     """
     size = params.size()
     check_enumeration(size, max_entries)
-    return _collect(_typecode(size) or "Q", _code_chunks(params))
+    return _collect(_typecode(size) or "Q", _code_chunks(params))[0]
+
+
+def checked_code_array(
+    params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES
+) -> tuple[array, tuple[int, int] | None]:
+    """code_array's codes, proved by _law_collision from the kernel's law.
+
+    The one collector behind tables and audits; the proof reads the law's
+    p**h heads and steps, not the codes.
+    """
+    size = params.size()
+    check_enumeration(size, max_entries)
+    codes, law = _collect(_typecode(size) or "Q", _code_chunks(params))
+    return codes, _law_collision(params, codes, law)
 
 
 def column_law(params: CodingParams, codes: array) -> tuple[int, int, array, Iterable[int]]:
     """The kernel's column law read off codes: (span, m, heads, steps).
 
-    With h = _kernel_width(params) and span = p**h, heads = codes[:span]
-    and steps = codes[span:2 * span] - heads mod p**l, both arrays of codes'
-    typecode. Where codes is the block's code array, codes[u + span * v] =
-    (heads[u] + steps[u] * v) mod p**l, and column u takes its codes from
-    the coset of heads[u] mod m:
-
-    - for odd p, or p == 2 with k == 0, m = span and column u takes every
-      code of its coset once;
-    - for p == 2 with k >= 1, m = span // 2 and column u takes half of its
-      coset; column span - 1 - u, the column of -x, takes the other half;
-    - where h reaches l (at l == 1, and for p == 2 with k >= 1 at l == 2),
-      span = m = p**l, heads = codes and every step is 0: steps is then
-      repeat(0, p**l), which allocates nothing.
-
-    Where h < l, each steps[u] is m times a unit.
+    With span = p**h for h = _kernel_width(params), heads = codes[:span] and
+    steps = codes[span:2 * span] - heads mod p**l, arrays of codes'
+    typecode, so that codes[u + span * v] = (heads[u] + steps[u] * v) mod
+    p**l for the block's codes. Each steps[u] is m times a unit, and column
+    u takes every code of the coset of heads[u] mod m = span once; for p ==
+    2 with k >= 1, m = span // 2, column u takes half of the coset and
+    column span - 1 - u, the column of -x, the other half. Where h reaches
+    l (at l == 1, and for p == 2 with k >= 1 at l == 2), the law is
+    trivial: span = m = p**l, heads = codes and steps = repeat(0, p**l),
+    which allocates nothing.
     """
     p, l = params.p.p, params.l
     span, size = p ** _kernel_width(params), params.size()
@@ -324,48 +338,6 @@ def column_law(params: CodingParams, codes: array) -> tuple[int, int, array, Ite
     heads = codes[:span]
     steps = array(codes.typecode, ((b - a) % size for a, b in zip(heads, codes[span:2 * span])))
     return span, span // 2 if p == 2 and params.power.k else span, heads, steps
-
-
-def _column_law_certifies(params: CodingParams, codes: array) -> bool:
-    """True when codes provably holds each of 0, ..., p**l - 1 once.
-
-    With (span, m, A, B) = column_law(params, codes), every later block of
-    span codes must equal the block before it plus B, mod p**l, lane by
-    lane, as _packed_lanes steps it. Then codes[u + span * v] = (A_u + B_u *
-    v) mod p**l for every u and v, and the heads A_u for u < m must be
-    distinct mod m:
-
-    - where m == p**l (a trivial law, span == p**l), each column is one
-      code, so distinct heads are the permutation;
-    - where m == span < p**l, each B_u must be m times a unit, so column u
-      covers the coset of A_u mod m once;
-    - where m < span (p == 2 with k >= 1), column u covers half the coset of
-      A_u mod m, and its partner u* = span - 1 - u (the fold x <-> -x) must
-      cover the other half: A_u* = A_u - B_u and B_u* = -B_u mod 2**l.
-
-    False when a test fails, or when codes is not of typecode
-    _typecode(p**l).
-    """
-    size = params.size()
-    if len(codes) != size or codes.typecode != _typecode(size):
-        return False
-    span, m, heads, steps = column_law(params, codes)
-    # heads and steps hold p**h values each, or are a trivial law's codes and
-    # repeat(0), so the proof holds at most the scan's byte per entry
-    if max(heads) >= size:  # so that no lane overflows
-        return False
-    packed = _packed_lanes(heads, steps, size, size // span - 1)
-    blocks = _unpacked(_typecode(4 * size), span, packed, codes.typecode)
-    if any(block != codes[x:x + span] for x, block in zip(range(span, size, span), blocks)):
-        return False
-    p, seen = params.p.p, bytearray(m)  # heads distinct mod m mark every byte
-    for a in islice(heads, m):
-        seen[a % m] = 1
-    # column u's partner u* = span - 1 - u is its mirror in heads and steps
-    return (seen.find(0) < 0
-            and (m == size or all(b % m == 0 and b // m % p for b in steps[:m]))
-            and (m == span or all(a_ == (a - b) % size and b_ == -b % size for a, b, a_, b_
-                                  in zip(heads[:m], steps[:m], heads[::-1], steps[::-1]))))
 
 
 def first_collision(codes: array) -> tuple[int, int] | None:
@@ -383,20 +355,37 @@ def first_collision(codes: array) -> tuple[int, int] | None:
     return None
 
 
-def block_collision(params: CodingParams, codes: array) -> tuple[int, int] | None:
-    """None where _column_law_certifies codes, else first_collision(codes).
+def _law_collision(params: CodingParams, codes: array, law: tuple | None) -> tuple[int, int] | None:
+    """None where law proves codes a permutation, else first_collision(codes).
 
-    The column law proves every block a permutation, l == 1 blocks too, so
-    the scan runs only to locate the pair after a failed proof, and the
-    result, any error included, is the scan's.
+    law is the (heads, steps) that _code_chunks built codes from, with span
+    = len(heads) and m as in column_law, or None for the trivial law: each
+    code its own head, span = m = p**l. The proof costs O(span): the heads
+    below m are distinct mod m; where m < p**l, the steps below m are m
+    times a unit; and where m < span, column u's partner u* = span - 1 - u
+    (x <-> -x) has heads[u*] = heads[u] - steps[u] and steps[u*] =
+    -steps[u] mod p**l. The scan runs only to locate the pair after a
+    failed proof, and the result, any error included, is the scan's.
 
     Examples:
         >>> params = CodingParams.make(p=7, n=3, l=1, r=2)
-        >>> block_collision(params, code_array(params))
-        >>> block_collision(params, array("B", [3, 1, 4, 1, 5, 0, 2]))
+        >>> _law_collision(params, code_array(params), None)
+        >>> _law_collision(params, array("B", [3, 1, 4, 1, 5, 0, 2]), None)
         (1, 3)
     """
-    return None if _column_law_certifies(params, codes) else first_collision(codes)
+    size = params.size()
+    heads, steps = law or (codes, repeat(0, size))
+    p, span = params.p.p, len(heads)
+    m = span // 2 if p == 2 and params.power.k and span < size else span
+    seen = bytearray(m)  # heads distinct mod m mark every byte
+    for a in islice(heads, m):
+        seen[a % m] = 1
+    if (seen.find(0) < 0
+            and (m == size or all(b % m == 0 and b // m % p for b in steps[:m]))
+            and (m == span or all(a_ == (a - b) % size and b_ == -b % size for a, b, a_, b_
+                                  in zip(heads[:m], steps[:m], heads[::-1], steps[::-1])))):
+        return None
+    return first_collision(codes)
 
 
 def permutation_table(
@@ -408,8 +397,7 @@ def permutation_table(
     InternalBijectivityViolation if a duplicate output ever appears (which
     would be an implementation bug, not a usage error).
     """
-    image = code_array(params, max_entries)
-    collision = block_collision(params, image)
+    image, collision = checked_code_array(params, max_entries)
     if collision is not None:
         raise InternalBijectivityViolation(
             f"duplicate output {image[collision[1]]} for params {params}"

@@ -5,9 +5,9 @@ from array import array
 
 import pytest
 
-from powerperm import analysis
+from powerperm import analysis, coding
 from powerperm.analysis import audit_bijectivity, cycle_structure, export_scatter
-from powerperm.coding import CodingParams, encode, permutation_table, shift
+from powerperm.coding import CodingParams, column_law, encode, permutation_table, shift
 from powerperm.errors import EnumerationBoundExceeded
 
 
@@ -29,13 +29,16 @@ def test_audit_respects_bound():
 
 
 def test_audit_reports_first_collision(monkeypatch):
-    # force a defect: replay a sequence where value 5 appears at 2 and 6
-    broken = [0, 3, 5, 1, 7, 2, 5, 4, 6]
+    # force a defect: the kernel yields a sequence where value 5 appears at
+    # 2 and 6, and the law column_law reads off it, whose heads 0 and 3
+    # share a coset mod 3
+    broken = array("B", [0, 3, 5, 1, 7, 2, 5, 4, 6])
 
-    def fake_codes(params, max_entries):
-        return array("B", broken)
+    def fake_chunks(params):
+        yield broken
+        return column_law(params, broken)[2:]
 
-    monkeypatch.setattr(analysis, "code_array", fake_codes)
+    monkeypatch.setattr(coding, "_code_chunks", fake_chunks)
     result = audit_bijectivity(CodingParams.make(p=3, n=3, l=2, r=1))
     assert not result.ok
     assert result.collision == (2, 6)
@@ -123,6 +126,19 @@ def test_lift_matches_walk_on_pinned_blocks():
     for p, l, n, rs in LIFT_PINS:
         for r in rs:
             assert_lift_matches_walk(p, n, l, r)
+
+
+def test_last_lift_counts_the_long_cycles_of_a_wide_prime():
+    # At l = 1 the one lift is the last, where only the number (p - 1) / d
+    # of the long cycles is taken, with d = ord(a) from the primes of p - 1:
+    # here d = 2**16 / 2**i, and d = 333334 and 1000002
+    for p, rs in ((65537, (1, 2, 3)), (1000003, (1, 2))):
+        for r in rs:
+            assert_lift_matches_walk(p, 3, 1, r)
+    for p in (3, 5, 7, 11, 13, 17, 97, 101, 257):
+        for a in range(1, p):
+            assert analysis._order(a, p) == next(
+                d for d in range(1, p) if pow(a, d, p) == 1), (a, p)
 
 
 def test_identity_blocks_are_answered_without_a_lift():

@@ -499,11 +499,11 @@ def test_decode_inverts_every_code_on_a_grid():
 
 
 def test_decode_builds_no_table(monkeypatch):
-    # code_array is the one enumeration behind every table
+    # the kernel _code_chunks is the one enumeration behind every table
     def no_table(params, *args):
         raise AssertionError(f"decode built a table for {params}")
 
-    monkeypatch.setattr(coding, "code_array", no_table)
+    monkeypatch.setattr(coding, "_code_chunks", no_table)
     params = CodingParams.make(p=2, n=3, l=15, r=1)  # one inverse exponent
     assert decode(params, 5) == 30185
     params = CodingParams.make(p=3, n=6, l=5, r=2)  # digit lifting

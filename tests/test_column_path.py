@@ -18,7 +18,7 @@ from powerperm.analysis import CycleReport, audit_bijectivity, cycle_structure
 from powerperm.coding import (
     CodingParams,
     PermutationTable,
-    block_collision,
+    checked_code_array,
     code_array,
     column_law,
     first_collision,
@@ -171,10 +171,16 @@ def test_high_shift_blocks_match_the_loops():
             assert table.image == codes
             assert audit_bijectivity(params) == analysis.AuditResult(params, True, None)
             assert first_collision(codes) is None
-            assert coding._column_law_certifies(params, codes)
-            duplicated = array(codes.typecode, codes)
-            duplicated[-1] = duplicated[0]
-            assert block_collision(params, duplicated) == (0, size - 1)
+            kernel_codes, (heads, steps) = kernel(params)
+            assert kernel_codes == codes
+            assert proves(params, codes, (heads, steps))
+            # the last head duplicates the first: the proof fails, and the
+            # scan locates the pair
+            duplicated = [*heads[:-1], heads[0]]
+            twin = law_array(codes.typecode, duplicated, steps, size)
+            want = (0, len(heads) - 1)
+            assert coding._law_collision(params, twin, (duplicated, steps)) == want
+            assert first_collision(twin) == want
             assert_matches_loops(table)
 
 
@@ -191,15 +197,58 @@ def test_sign_fold_inverse_on_larger_blocks():
 # ------------------------------------------- the column law as a certificate
 
 
-def test_column_law_certifies_exactly_the_kernel_blocks_on_grid():
-    # Every block is certified, those with a trivial law (h = l) too, and the
-    # result always equals the scan's.
+KERNEL = coding._code_chunks  # the kernel itself, even where a test injects codes
+
+
+def kernel(params: CodingParams):
+    """The kernel's codes, stored, and the law it returns: (codes, law)."""
+    return coding._collect(coding._typecode(params.size()) or "Q", KERNEL(params))
+
+
+def proves(params: CodingParams, codes: array, law) -> bool:
+    """Whether the law test alone proves codes, with no scan."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coding, "first_collision", lambda codes: "scanned")
+        return coding._law_collision(params, codes, law) is None
+
+
+def inject(monkeypatch, codes: array, law) -> None:
+    """Make the kernel yield codes and return law, whatever the params."""
+    def chunks(params):
+        yield codes.tolist()
+        return law
+
+    monkeypatch.setattr(coding, "_code_chunks", chunks)
+
+
+def test_kernel_codes_are_their_law_expanded_on_grid():
+    # The proof reads the kernel's law, not its codes, so the codes must be
+    # the law's expansion. The law is the one column_law reads off them, or
+    # None (each code its own head) exactly where h = l.
+    for params in grid():
+        codes, law = kernel(params)
+        size = params.size()
+        assert (law is None) == (coding._kernel_width(params) == params.l), params
+        if law is not None:
+            heads, steps = law
+            assert codes == law_array(codes.typecode, heads, steps, size), params
+            span, _, read_heads, read_steps = column_law(params, codes)
+            assert (heads, steps) == (read_heads.tolist(), read_steps.tolist()), params
+            assert max(heads + steps) < size and span == len(heads), params
+
+
+def test_column_law_certifies_exactly_the_kernel_blocks_on_grid(monkeypatch):
+    # Every block is proved by the law the kernel built it from, those with a
+    # trivial law (h = l) too; the scan, patched to raise, never runs.
+    def no_scan(codes):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(coding, "first_collision", no_scan)
     kinds: Counter[str] = Counter()
     for params in grid():
-        codes = code_array(params)
-        certified = coding._column_law_certifies(params, codes)
-        assert certified, params
-        assert block_collision(params, codes) == first_collision(codes) is None
+        codes, law = kernel(params)
+        assert coding._law_collision(params, codes, law) is None, params
+        assert first_collision(codes) is None, params
         two = params.p.p == 2 and params.power.k > 0
         kinds["certified" + (", two, k >= 1" if two else "")] += 1
     # the 1001 blocks at l = 1, and the 28 with p = 2, k >= 1 at l = 2, are
@@ -209,19 +258,19 @@ def test_column_law_certifies_exactly_the_kernel_blocks_on_grid():
 
 def test_trivial_law_proves_a_wide_block_in_a_byte_per_entry(monkeypatch):
     # An l = 1 block of 65537 codes is proved by its heads alone: no scan,
-    # and no array of zero steps, so block_collision holds the marks only.
+    # and no array of zero steps, so the proof holds the marks only.
     params = CodingParams.make(p=65537, n=3, l=1, r=1)
-    codes = code_array(params)
-    assert coding._kernel_width(params) == params.l
+    codes, law = kernel(params)
+    assert coding._kernel_width(params) == params.l and law is None
 
     def no_scan(codes):
         raise AssertionError("the scan ran")
 
     monkeypatch.setattr(coding, "first_collision", no_scan)
-    assert block_collision(params, codes) is None
+    assert checked_code_array(params)[1] is None
     tracemalloc.start()
     try:
-        assert block_collision(params, codes) is None
+        assert coding._law_collision(params, codes, law) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -229,7 +278,26 @@ def test_trivial_law_proves_a_wide_block_in_a_byte_per_entry(monkeypatch):
     duplicated = array(codes.typecode, codes)
     duplicated[-1] = duplicated[0]
     with pytest.raises(AssertionError, match="the scan ran"):
-        block_collision(params, duplicated)
+        coding._law_collision(params, duplicated, None)
+
+
+def test_table_and_audit_step_lanes_once(monkeypatch):
+    # the kernel's own pass is the only lane stepping: the proof reads its
+    # law, and a trivial law (65537, 3, 1) steps no lanes at all
+    calls = []
+    stepper = coding._packed_lanes
+
+    def counting(*args):
+        calls.append(args)
+        return stepper(*args)
+
+    monkeypatch.setattr(coding, "_packed_lanes", counting)
+    for p, n, l, want in ((2, 6, 16, 1), (3, 4, 10, 1), (65537, 3, 1, 0)):
+        params = CodingParams.make(p=p, n=n, l=l, r=1)
+        for build in (permutation_table, audit_bijectivity):
+            calls.clear()
+            build(params)
+            assert len(calls) == want, (params, build)
 
 
 # (p, n, l, r) with k = 0 and k >= 1 for odd p and for p = 2, each certified;
@@ -247,31 +315,34 @@ def law_array(typecode: str, heads: list[int], steps: list[int], size: int) -> a
 
 
 def mutants(params: CodingParams):
-    """(label, codes): the block's codes changed in one way each."""
-    codes = code_array(params)
+    """(label, codes, law): the block's codes changed in one way each.
+
+    law is the law the codes were built from: (heads, steps) for a law
+    mutant, and None, the trivial law every array obeys (each code its own
+    head), for an array-only mutant, since no law of p**h columns builds it.
+    """
+    codes, (heads, steps) = kernel(params)
     size, typecode = len(codes), codes.typecode
     p = params.p.p
-    span = p ** coding._kernel_width(params)
+    span = len(heads)
     last = size - span  # first index of the last block
     swapped = array(typecode, codes)
     swapped[last + 1], swapped[last + 2] = swapped[last + 2], swapped[last + 1]
-    yield "two entries swapped in the last block", swapped
+    yield "two entries swapped in the last block", swapped, None
     for x in (span, last + span // 2, size - 1):
         duplicated = array(typecode, codes)
         duplicated[x] = duplicated[x - 1]
-        yield f"entry {x} duplicates its neighbour", duplicated
+        yield f"entry {x} duplicates its neighbour", duplicated, None
     high = array(typecode, codes)
     high[span // 2] = size
-    yield "a head entry equal to p**l", high
-    heads = codes[:span].tolist()
-    steps = [(b - a) % size for a, b in zip(heads, codes[span:2 * span])]
-    yield "the unmutated law, rebuilt", law_array(typecode, heads, steps, size)
+    yield "a head entry equal to p**l", high, None
+    yield "the unmutated law, rebuilt", law_array(typecode, heads, steps, size), (heads, steps)
     # column 1 (with its partner span - 2 where p = 2, k >= 1) copies column 0
     h2, s2 = list(heads), list(steps)
     h2[1], s2[1] = heads[0], steps[0]
     if p == 2 and params.power.k:
         h2[span - 2], s2[span - 2] = heads[-1], steps[-1]
-    yield "two columns on one coset", law_array(typecode, h2, s2, size)
+    yield "two columns on one coset", law_array(typecode, h2, s2, size), (h2, s2)
     if p == 2 and params.power.k:
         # column 1 and its partner span - 2, each pair as (A_1, B_1, A_1*, B_1*)
         a, b = heads[1], steps[1]
@@ -280,12 +351,12 @@ def mutants(params: CodingParams):
                             ("a partner head off by 2**h", (a, b, a - b + span, -b))):
             h2, s2 = list(heads), list(steps)
             h2[1], s2[1], h2[span - 2], s2[span - 2] = (v % size for v in pair)
-            yield f"a broken pair: {label}", law_array(typecode, h2, s2, size)
+            yield f"a broken pair: {label}", law_array(typecode, h2, s2, size), (h2, s2)
     else:
         s2 = list(steps)
         s2[1] = s2[1] * p % size
-        yield "a step of valuation h + 1", law_array(typecode, heads, s2, size)
-    yield "codes wider than the lanes", array("Q", codes)
+        yield "a step of valuation h + 1", law_array(typecode, heads, s2, size), (heads, s2)
+    yield "codes wider than the lanes", array("Q", codes), None
 
 
 def outcome(check, codes):
@@ -299,13 +370,15 @@ def test_column_law_agrees_with_the_scan_on_mutated_arrays():
     kinds: Counter[str] = Counter()
     for p, n, l, r in CERTIFIED:
         params = CodingParams.make(p=p, n=n, l=l, r=r)
-        assert coding._column_law_certifies(params, code_array(params)), params
-        for label, codes in mutants(params):
+        assert proves(params, *kernel(params)), params
+        for label, codes, law in mutants(params):
             want = outcome(first_collision, codes)
-            got = outcome(lambda c: block_collision(params, c), codes)
-            assert got == want, (params, label)
-            certified = coding._column_law_certifies(params, codes)
-            assert certified == (label == "the unmutated law, rebuilt"), (params, label)
+            if law is not None:  # the law test decides, and the scan locates
+                got = outcome(lambda c: coding._law_collision(params, c, law), codes)
+                assert got == want, (params, label)
+                certified = proves(params, codes, law)
+                assert certified == (label == "the unmutated law, rebuilt"), (params, label)
+                assert certified == (want is None), (params, label)
             kinds["collision" if isinstance(want, tuple) else str(want)] += 1
     # every broken law and every duplicate collides; swaps and widening keep a permutation
     assert kinds == {"collision": 56, "None": 30, "<class 'IndexError'>": 10}
@@ -314,9 +387,8 @@ def test_column_law_agrees_with_the_scan_on_mutated_arrays():
 def test_table_and_audit_report_mutants_as_the_scan_does(monkeypatch):
     for p, n, l, r in CERTIFIED:
         params = CodingParams.make(p=p, n=n, l=l, r=r)
-        for label, codes in mutants(params):
-            monkeypatch.setattr(coding, "code_array", lambda prm, bound, c=codes: c)
-            monkeypatch.setattr(analysis, "code_array", lambda prm, bound, c=codes: c)
+        for label, codes, law in mutants(params):
+            inject(monkeypatch, codes, law)
             want = outcome(first_collision, codes)
             if want is IndexError:
                 with pytest.raises(IndexError):
@@ -327,7 +399,7 @@ def test_table_and_audit_report_mutants_as_the_scan_does(monkeypatch):
             audit = audit_bijectivity(params)
             assert (audit.ok, audit.collision) == (want is None, want), (params, label)
             if want is None:
-                assert permutation_table(params).image is codes
+                assert permutation_table(params).image == codes
             else:
                 with pytest.raises(InternalBijectivityViolation) as err:
                     permutation_table(params)

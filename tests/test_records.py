@@ -139,8 +139,14 @@ def test_coding_params_checks(args, message):
 
 
 def test_bijectivity_violation_message_embeds_the_repr(monkeypatch):
+    # the kernel yields codes with the trivial law, each code its own head
     codes = array("B", [0, 7, 2, 3, 1, 5, 6, 5, 8])
-    monkeypatch.setattr(coding, "code_array", lambda params, bound: codes)
+
+    def fake_chunks(params):
+        yield codes
+        return None
+
+    monkeypatch.setattr(coding, "_code_chunks", fake_chunks)
     with pytest.raises(InternalBijectivityViolation) as err:
         coding.permutation_table(PARAMS)
     assert str(err.value) == f"duplicate output 5 for params {PARAMS_REPR}"

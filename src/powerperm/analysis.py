@@ -8,17 +8,12 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 
 from ._records import record
-from .coding import (
-    MAX_TABLE_ENTRIES,
-    CodingParams,
-    PermutationTable,
-    checked_code_array,
-    code_array,
-)
+from .coding import (MAX_TABLE_ENTRIES, CodingParams, PermutationTable, block_law,
+                     check_enumeration, checked_code_array, code_array, law_proves)
 
 
 class AuditResult(record("AuditResult", "params ok collision", defaults=(None,))):
-    """Outcome of a full-range duplicate scan; collision holds the first offending pair.
+    """Outcome of a bijectivity audit; collision holds the first offending pair.
 
     Fields: params, ok, collision (a pair (y, x) with y < x, or None).
     """
@@ -71,13 +66,20 @@ class ScatterData(record("ScatterData", "params codes")):
 def audit_bijectivity(
     params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES
 ) -> AuditResult:
-    """Enumerate every output and report the first duplicate, if any.
+    """Prove the block a permutation from its column law, or report the first duplicate.
 
-    The column law the kernel built the codes from proves every block
-    without a per-entry scan, which runs only to locate a duplicate (see
-    coding.checked_code_array). Memory is the code array and the kernel's
-    law, plus one byte per head, or per block value for a scan.
+    The proof reads the p**h heads and steps of coding.block_law and builds
+    no codes. Where the law is trivial (h = l) or fails, the result is
+    coding.checked_code_array's. Refuses p**l > max_entries either way.
+
+    Examples:
+        >>> from powerperm.coding import CodingParams
+        >>> audit_bijectivity(CodingParams.make(p=2, n=3, l=20, r=1)).ok
+        True
     """
+    check_enumeration(params.size(), max_entries)
+    if (law := block_law(params)) is not None and law_proves(params, *law):
+        return AuditResult(params, ok=True)
     collision = checked_code_array(params, max_entries)[1]
     return AuditResult(params, ok=collision is None, collision=collision)
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import namedtuple
-from collections.abc import Generator, Iterable, Iterator
-from itertools import chain, islice, repeat
+from collections.abc import Generator, Iterable, Iterator, Sequence
+from itertools import chain, repeat
 
 from ._records import record
 from .errors import DomainError, EnumerationBoundExceeded, InternalBijectivityViolation
@@ -177,6 +177,30 @@ def _kernel_width(params: CodingParams) -> int:
     return h if h < l and _typecode(4 * params.size()) else l
 
 
+def _head_chunks(params: CodingParams) -> Iterator[tuple[list[int], Iterator[int]]]:
+    """The head pass of _code_chunks: (A_u, B_u) per _HEAD_CHUNK u < p**h, B_u lazily."""
+    p, n, r = params.p.p, params.power.n, params.r
+    pa, modulus = _window_moduli(params)
+    size, h = params.size(), _kernel_width(params)
+    span = p**h
+    scale = n * p ** (h + 1) // pa
+    for start in range(0, span, _HEAD_CHUNK):
+        ys = range(p * start + r, p * min(start + _HEAD_CHUNK, span) + r, p)
+        ds = [pow(y, n - 1, modulus) for y in ys]  # p**l divides modulus: B_u's power too
+        yield [d * y % modulus // pa for d, y in zip(ds, ys)], (scale * d % size for d in ds)
+
+
+def block_law(params: CodingParams) -> tuple[list[int], list[int]] | None:
+    """The law (A, B) that _code_chunks steps, from the head pass alone; None where h = l."""
+    if _kernel_width(params) == params.l:
+        return None
+    heads, steps = [], []
+    for codes, chunk_steps in _head_chunks(params):
+        heads += codes
+        steps += chunk_steps
+    return heads, steps
+
+
 def _code_chunks(params: CodingParams) -> Generator[list[int] | array, None, tuple | None]:
     """The one enumeration kernel: every code of the block, in x' order, in chunks.
 
@@ -189,33 +213,23 @@ def _code_chunks(params: CodingParams) -> Generator[list[int] | array, None, tup
         code(u, v) = (A_u + B_u * v) mod p**l,
 
     where A_u = code(u, 0) and B_u = y**(n-1) * n * p**(h+1) / p**a mod
-    p**l. So the head pass, the block v = 0, costs one pow per u, and
-    _packed_lanes steps the later blocks, each an array of typecode
-    _typecode(p**l); when h = l every code is its own pow. The v = 0 block
-    is yielded in chunks of _HEAD_CHUNK codes as they are computed, so a
-    caller that stops early pays for at most one chunk it does not take.
-    The generator returns the law it stepped, (heads, steps) = (A, B) as
-    lists of p**h values below p**l, or None where h = l.
+    p**l. So the head pass (_head_chunks), the block v = 0, costs one pow
+    per u, and _packed_lanes steps the later blocks, each an array of
+    typecode _typecode(p**l); when h = l every code is its own pow. Head
+    chunks are yielded as they are computed, so a caller that stops early
+    pays for at most one chunk it does not take. The generator returns the
+    law it stepped, block_law's (heads, steps), or None where h = l.
     """
-    p, n, r, l = params.p.p, params.power.n, params.r, params.l
-    pa, modulus = _window_moduli(params)
-    size = params.size()
-    h = _kernel_width(params)
-    span = p**h
-    heads: list[int] = []
-    steps: list[int] = []
-    scale = n * p ** (h + 1) // pa
-    for start in range(0, span, _HEAD_CHUNK):
-        ys = range(p * start + r, p * min(start + _HEAD_CHUNK, span) + r, p)
-        ds = [pow(y, n - 1, modulus) for y in ys]  # p**l divides modulus: B_u's power too
-        codes = [d * y % modulus // pa for d, y in zip(ds, ys)]
+    size, stepped = params.size(), _kernel_width(params) < params.l
+    heads, steps = [], []
+    for codes, chunk_steps in _head_chunks(params):
         yield codes
-        if h < l:
-            heads.extend(codes)
-            steps.extend([scale * d % size for d in ds])
-    if h < l:
-        packed = _packed_lanes(heads, steps, size, size // span - 1)
-        yield from _unpacked(_typecode(4 * size), span, packed, _typecode(size))
+        if stepped:
+            heads += codes
+            steps += chunk_steps
+    if stepped:
+        packed = _packed_lanes(heads, steps, size, size // len(heads) - 1)
+        yield from _unpacked(_typecode(4 * size), len(heads), packed, _typecode(size))
         return heads, steps
 
 
@@ -231,8 +245,8 @@ def _packed_lanes(
 
     Each block is one int packed by _pack in lanes of _typecode(4 * modulus),
     and is the block before it plus steps, less modulus wherever the sum
-    reaches it. Every heads[u] and steps[u] must lie below modulus, and
-    4 * modulus must fit in 64 bits.
+    reaches it (for a power of two, its low bits masked). Every heads[u] and
+    steps[u] must lie below modulus, and 4 * modulus must fit in 64 bits.
     """
     # A lane of w bits holds t = cur + step < 2 * modulus <= 2**(w-1). Adding
     # 2**(w-2) - modulus sets bit w-2 exactly where t >= modulus, with no
@@ -242,9 +256,10 @@ def _packed_lanes(
     ones = _pack(lane, [1] * len(heads))
     bias = ones * ((1 << top) - modulus)
     cur, step = _pack(lane, heads), _pack(lane, steps)
+    mask = ones * (modulus - 1) if modulus & (modulus - 1) == 0 else 0
     for _ in range(blocks):
         t = cur + step
-        cur = t - (((t + bias) >> top) & ones) * modulus
+        cur = t & mask if mask else t - (((t + bias) >> top) & ones) * modulus
         yield cur
 
 
@@ -308,8 +323,8 @@ def checked_code_array(
 ) -> tuple[array, tuple[int, int] | None]:
     """code_array's codes, proved by _law_collision from the kernel's law.
 
-    The one collector behind tables and audits; the proof reads the law's
-    p**h heads and steps, not the codes.
+    The one collector behind tables, and behind audits whose law fails or is
+    trivial; the proof reads the law's p**h heads and steps, not the codes.
     """
     size = params.size()
     check_enumeration(size, max_entries)
@@ -355,37 +370,40 @@ def first_collision(codes: array) -> tuple[int, int] | None:
     return None
 
 
-def _law_collision(params: CodingParams, codes: array, law: tuple | None) -> tuple[int, int] | None:
-    """None where law proves codes a permutation, else first_collision(codes).
+def law_proves(params: CodingParams, heads: Sequence, steps: Sequence | None = None) -> bool:
+    """Whether the column law (heads, steps) of block_law makes the block a permutation.
 
-    law is the (heads, steps) that _code_chunks built codes from, with span
-    = len(heads) and m as in column_law, or None for the trivial law: each
-    code its own head, span = m = p**l. The proof costs O(span): the heads
-    below m are distinct mod m; where m < p**l, the steps below m are m
-    times a unit; and where m < span, column u's partner u* = span - 1 - u
-    (x <-> -x) has heads[u*] = heads[u] - steps[u] and steps[u*] =
-    -steps[u] mod p**l. The scan runs only to locate the pair after a
-    failed proof, and the result, any error included, is the scan's.
+    span = len(heads) and m are as in column_law; steps None is the trivial
+    law, every code its own head. In O(span): the heads below m are distinct
+    mod m, the steps below m are m times a unit, and where m < span, column
+    u's partner u* = span - 1 - u (x <-> -x) has heads[u*] = heads[u] -
+    steps[u] and steps[u*] = -steps[u] mod p**l.
 
     Examples:
         >>> params = CodingParams.make(p=7, n=3, l=1, r=2)
-        >>> _law_collision(params, code_array(params), None)
-        >>> _law_collision(params, array("B", [3, 1, 4, 1, 5, 0, 2]), None)
-        (1, 3)
+        >>> law_proves(params, code_array(params))
+        True
+        >>> codes = array("B", [3, 1, 4, 1, 5, 0, 2])
+        >>> law_proves(params, codes), first_collision(codes)
+        (False, (1, 3))
     """
-    size = params.size()
-    heads, steps = law or (codes, repeat(0, size))
-    p, span = params.p.p, len(heads)
-    m = span // 2 if p == 2 and params.power.k and span < size else span
+    size, p, span = params.size(), params.p.p, len(heads)
+    m = span // 2 if p == 2 and params.power.k and steps is not None else span
     seen = bytearray(m)  # heads distinct mod m mark every byte
-    for a in islice(heads, m):
-        seen[a % m] = 1
-    if (seen.find(0) < 0
-            and (m == size or all(b % m == 0 and b // m % p for b in steps[:m]))
-            and (m == span or all(a_ == (a - b) % size and b_ == -b % size for a, b, a_, b_
-                                  in zip(heads[:m], steps[:m], heads[::-1], steps[::-1])))):
-        return None
-    return first_collision(codes)
+    try:
+        for a in heads if steps is None else (a % m for a in heads[:m]):
+            seen[a] = 1
+    except IndexError:
+        return False
+    return seen.find(0) < 0 and (steps is None or (
+        all(b % m == 0 and b // m % p for b in steps[:m])
+        and (m == span or all(a_ == (a - b) % size and b_ == -b % size for a, b, a_, b_
+                              in zip(heads[:m], steps[:m], heads[::-1], steps[::-1])))))
+
+
+def _law_collision(params: CodingParams, codes: array, law: tuple | None) -> tuple[int, int] | None:
+    """None where law_proves codes by law (None: the trivial law), else first_collision(codes)."""
+    return None if law_proves(params, *(law or (codes,))) else first_collision(codes)
 
 
 def permutation_table(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -260,9 +261,9 @@ def test_wide_table_stays_compact():
     assert int(proc.stdout) < 50 * 1024
 
 
-def wide_table_peak_kib(fmt: str, out) -> int:
-    # Writes the p=2 n=3 l=22 table to out through the CLI in a child
-    # process, in under 10 s, and returns VmHWM, the child's own peak RSS.
+def cli_peak_kib(argv: list[str]) -> tuple[int, str]:
+    # Runs the CLI on argv in a child process, in under 10 s, and returns
+    # VmHWM, the child's own peak RSS, and what the CLI wrote to stdout.
     code = (
         "import sys\n"
         "from powerperm.cli import main\n"
@@ -271,8 +272,6 @@ def wide_table_peak_kib(fmt: str, out) -> int:
         "           if line.startswith('VmHWM:')))\n"
         "sys.exit(rc)\n"
     )
-    argv = ["table", "--p", "2", "--n", "3", "--l", "22", "--r", "1",
-            "--format", fmt, "--out", str(out)]
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120
@@ -280,7 +279,15 @@ def wide_table_peak_kib(fmt: str, out) -> int:
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 10
-    return int(proc.stdout)
+    *lines, peak = proc.stdout.splitlines(keepends=True)
+    return int(peak), "".join(lines)
+
+
+def wide_table_peak_kib(fmt: str, out) -> int:
+    # Writes the p=2 n=3 l=22 table to out through the CLI, and returns the
+    # child's peak RSS.
+    return cli_peak_kib(["table", "--p", "2", "--n", "3", "--l", "22", "--r", "1",
+                         "--format", fmt, "--out", str(out)])[0]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
@@ -315,6 +322,17 @@ def test_wide_json_table_streams(tmp_path):
         payload = json.load(fh, parse_int=len)
     assert list(payload) == ["p", "n", "l", "r", "j", "alpha", "image"]
     assert len(payload["image"]) == params.size()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_verify_audits_wide_blocks_without_their_codes():
+    # Each audit proves its block from the law of the head pass, 2**12 heads
+    # and steps at l = 24, so verify never holds a 2**24-entry code array.
+    peak, out = cli_peak_kib(["verify", "--p", "2", "--n", "3", "--lmax", "24"])
+    assert out.endswith("l=24 r=1 j=1 size=16777216 pass\nall pass (48 tables)\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b808579597a6b4228331c3dff651355a93afca937bd1a4ebcdd02f904a553fd5")
+    assert peak < 40 * 1024
 
 
 def test_table_bound():

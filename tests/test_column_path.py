@@ -213,12 +213,13 @@ def proves(params: CodingParams, codes: array, law) -> bool:
 
 
 def inject(monkeypatch, codes: array, law) -> None:
-    """Make the kernel yield codes and return law, whatever the params."""
+    """Make the kernel yield codes and return law, and block_law give law, whatever the params."""
     def chunks(params):
         yield codes.tolist()
         return law
 
     monkeypatch.setattr(coding, "_code_chunks", chunks)
+    monkeypatch.setattr(analysis, "block_law", lambda params: law)
 
 
 def test_kernel_codes_are_their_law_expanded_on_grid():
@@ -281,9 +282,21 @@ def test_trivial_law_proves_a_wide_block_in_a_byte_per_entry(monkeypatch):
         coding._law_collision(params, duplicated, None)
 
 
+def test_trivial_law_reports_what_the_scan_reports():
+    # A trivial law marks its codes as they are, so a code of p**l stops the
+    # marking; the scan then reports the pair met before it, or IndexError.
+    params = CodingParams.make(p=7, n=3, l=1, r=2)
+    for codes, want in (([3, 3, 7, 0, 1, 2, 4], (0, 1)), ([3, 7, 3, 0, 1, 2, 4], IndexError),
+                        ([0, 1, 2, 3, 4, 5, 7], IndexError)):
+        codes = array("B", codes)
+        assert outcome(lambda c: coding._law_collision(params, c, None), codes) == want
+        assert outcome(first_collision, codes) == want
+
+
 def test_table_and_audit_step_lanes_once(monkeypatch):
-    # the kernel's own pass is the only lane stepping: the proof reads its
-    # law, and a trivial law (65537, 3, 1) steps no lanes at all
+    # a table's only lane stepping is the kernel's own pass: the proof reads
+    # its law, and a trivial law (65537, 3, 1) steps no lanes at all; an
+    # audit proves the law of the head pass and steps none
     calls = []
     stepper = coding._packed_lanes
 
@@ -297,7 +310,20 @@ def test_table_and_audit_step_lanes_once(monkeypatch):
         for build in (permutation_table, audit_bijectivity):
             calls.clear()
             build(params)
-            assert len(calls) == want, (params, build)
+            assert len(calls) == (want if build is permutation_table else 0), (params, build)
+
+
+def test_audit_proves_the_head_law_without_stepping_on_grid(monkeypatch):
+    # Where h < l the audit proves the law of the head pass alone: the lane
+    # stepper, patched to raise, never runs, and the verdict is the scan's.
+    wants = [(params, first_collision(code_array(params))) for params in grid()]
+
+    def no_lanes(*args):
+        raise AssertionError("lanes were stepped")
+
+    monkeypatch.setattr(coding, "_packed_lanes", no_lanes)
+    for params, want in wants:
+        assert audit_bijectivity(params) == analysis.AuditResult(params, want is None, want)
 
 
 # (p, n, l, r) with k = 0 and k >= 1 for odd p and for p = 2, each certified;

@@ -9,7 +9,7 @@ from collections.abc import Iterable, Iterator
 
 from ._records import record
 from .coding import (MAX_TABLE_ENTRIES, CodingParams, PermutationTable, block_law,
-                     check_enumeration, checked_code_array, code_array, law_proves)
+                     check_enumeration, code_array, law_collision, law_proves)
 
 
 class AuditResult(record("AuditResult", "params ok collision", defaults=(None,))):
@@ -70,7 +70,7 @@ def audit_bijectivity(
 
     The proof reads the p**h heads and steps of coding.block_law and builds
     no codes. Where the law is trivial (h = l) or fails, the result is
-    coding.checked_code_array's. Refuses p**l > max_entries either way.
+    coding.law_collision's on coding.code_array. Refuses p**l > max_entries either way.
 
     Examples:
         >>> from powerperm.coding import CodingParams
@@ -80,7 +80,7 @@ def audit_bijectivity(
     check_enumeration(params.size(), max_entries)
     if (law := block_law(params)) is not None and law_proves(params, *law):
         return AuditResult(params, ok=True)
-    collision = checked_code_array(params, max_entries)[1]
+    collision = law_collision(params, *code_array(params, max_entries))
     return AuditResult(params, ok=collision is None, collision=collision)
 
 
@@ -198,4 +198,4 @@ def export_scatter(
     params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES
 ) -> ScatterData:
     """Enumerate every code once for plotting."""
-    return ScatterData(params=params, codes=code_array(params, max_entries))
+    return ScatterData(params=params, codes=code_array(params, max_entries)[0])

@@ -306,30 +306,19 @@ def check_enumeration(entries: int, max_entries: int) -> None:
         )
 
 
-def code_array(params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES) -> array:
-    """Every code of the block in x' order, in the smallest array that holds them.
-
-    The chunks of the block kernel _code_chunks, stored, as for scatter
-    data (tables and audits use checked_code_array). Raises
-    EnumerationBoundExceeded when p**l > max_entries.
-    """
-    size = params.size()
-    check_enumeration(size, max_entries)
-    return _collect(_typecode(size) or "Q", _code_chunks(params))[0]
-
-
-def checked_code_array(
+def code_array(
     params: CodingParams, max_entries: int = MAX_TABLE_ENTRIES
-) -> tuple[array, tuple[int, int] | None]:
-    """code_array's codes, proved by _law_collision from the kernel's law.
+) -> tuple[array, tuple[list[int], list[int]] | None]:
+    """Every code of the block in x' order, in the smallest array that holds them, and its law.
 
-    The one collector behind tables, and behind audits whose law fails or is
-    trivial; the proof reads the law's p**h heads and steps, not the codes.
+    The one collector of the block kernel _code_chunks: its chunks, stored,
+    and the law (heads, steps) it stepped, or None where h = l, from which
+    law_collision proves the codes. Raises EnumerationBoundExceeded when
+    p**l > max_entries.
     """
     size = params.size()
     check_enumeration(size, max_entries)
-    codes, law = _collect(_typecode(size) or "Q", _code_chunks(params))
-    return codes, _law_collision(params, codes, law)
+    return _collect(_typecode(size) or "Q", _code_chunks(params))
 
 
 def column_law(params: CodingParams, codes: array) -> tuple[int, int, array, Iterable[int]]:
@@ -381,7 +370,7 @@ def law_proves(params: CodingParams, heads: Sequence, steps: Sequence | None = N
 
     Examples:
         >>> params = CodingParams.make(p=7, n=3, l=1, r=2)
-        >>> law_proves(params, code_array(params))
+        >>> law_proves(params, code_array(params)[0])
         True
         >>> codes = array("B", [3, 1, 4, 1, 5, 0, 2])
         >>> law_proves(params, codes), first_collision(codes)
@@ -401,8 +390,8 @@ def law_proves(params: CodingParams, heads: Sequence, steps: Sequence | None = N
                               in zip(heads[:m], steps[:m], heads[::-1], steps[::-1])))))
 
 
-def _law_collision(params: CodingParams, codes: array, law: tuple | None) -> tuple[int, int] | None:
-    """None where law_proves codes by law (None: the trivial law), else first_collision(codes)."""
+def law_collision(params: CodingParams, codes: array, law: tuple | None) -> tuple[int, int] | None:
+    """None where law_proves code_array's law (None: codes as heads), else first_collision."""
     return None if law_proves(params, *(law or (codes,))) else first_collision(codes)
 
 
@@ -415,8 +404,8 @@ def permutation_table(
     InternalBijectivityViolation if a duplicate output ever appears (which
     would be an implementation bug, not a usage error).
     """
-    image, collision = checked_code_array(params, max_entries)
-    if collision is not None:
+    image, law = code_array(params, max_entries)
+    if (collision := law_collision(params, image, law)) is not None:
         raise InternalBijectivityViolation(
             f"duplicate output {image[collision[1]]} for params {params}"
         )

@@ -1,7 +1,9 @@
 """Base-p digits by repeated division, kept apart from the package.
 
 The package reads digit windows with modular arithmetic; tests compare it
-against this independent route: expand, slice, reassemble.
+against this independent route: expand, slice, reassemble. The cycle type
+of a power-map block comes from group theory here, against the package's
+digit-by-digit lift.
 """
 
 from __future__ import annotations
@@ -24,3 +26,35 @@ def from_digits(digits: Sequence[int], p: int) -> int:
     for d in reversed(digits):
         value = value * p + d
     return value
+
+
+def power_map_cycles(p: int, n: int, l: int) -> dict[int, int]:
+    """{cycle length: number of cycles} of a block with k = 0 and r**n == r mod p.
+
+    Such a block is u -> u**n on the units == 1 mod p modulo p**(l+1), and
+    an element of order p**e lies on a cycle of length ord_{p**e}(n). For
+    odd p the group is cyclic of order p**l, with phi(p**e) elements of
+    order p**e, and ord_{p**e}(n) = d * p**max(0, e - v) for d = ord_p(n) and
+    v = v_p(n**d - 1), capped at l (n = 1 has n**d - 1 = 0). For p == 2 it
+    is C2 x C_{2**(l-1)}: 1, 3 and 2**e elements of order 1, 2 and 2**e for
+    2 <= e <= l - 1 (1 and 1 at l = 1), and ord_{2**e}(n) is found by squaring.
+    """
+    if p == 2:
+        counts = [1, 1] if l == 1 else [1, 3, *(2**e for e in range(2, l))]
+        lengths = [1]
+        for e in range(1, len(counts)):
+            m, x = 1, n % 2**e
+            while x != 1:
+                m, x = 2 * m, x * x % 2**e
+            lengths.append(m)
+    else:
+        d = next(d for d in range(1, p) if pow(n, d, p) == 1)
+        rest, v = pow(n, d, p ** (l + 1)) - 1, 0
+        while v < l and rest % p ** (v + 1) == 0:
+            v += 1
+        counts = [1, *((p - 1) * p ** (e - 1) for e in range(1, l + 1))]
+        lengths = [1, *(d * p ** max(0, e - v) for e in range(1, l + 1))]
+    cycles: dict[int, int] = {}
+    for count, length in zip(counts, lengths):
+        cycles[length] = cycles.get(length, 0) + count // length
+    return cycles

@@ -12,13 +12,13 @@ from array import array
 from collections import Counter
 
 import pytest
+from digit_oracle import power_map_cycles
 
 from powerperm import analysis, coding
 from powerperm.analysis import CycleReport, audit_bijectivity, cycle_structure
 from powerperm.coding import (
     CodingParams,
     PermutationTable,
-    checked_code_array,
     code_array,
     column_law,
     first_collision,
@@ -104,6 +104,23 @@ def test_column_path_matches_loops_on_grid():
                      "identity": 101, "wide lanes": 900, "r**n != r": 1520}
 
 
+def test_power_map_blocks_match_the_closed_form_on_grid():
+    # With k = 0 and r**n == r mod p the block is u -> u**n on the units == 1
+    # mod p, whose cycle type power_map_cycles gives in closed form.
+    blocks = 0
+    for params in grid():
+        p, n, l, r = params.p.p, params.power.n, params.l, params.r
+        if params.power.k or pow(r, n, p) != r:
+            continue
+        cycles = power_map_cycles(p, n, l)
+        report = cycle_structure(permutation_table(params))
+        assert report.cycle_lengths == tuple(sorted(Counter(cycles).elements())), params
+        assert report.cycle_count == sum(cycles.values()), params
+        assert report.order == math.lcm(*cycles), params
+        blocks += 1
+    assert blocks == 1352
+
+
 def test_column_path_on_larger_blocks():
     # lanes of 'I' under 'H' codes (2**16, 13**4), and 'I' throughout (3**11)
     for p, n, l, r in ((2, 5, 16, 1), (13, 7, 4, 6), (3, 4, 11, 2), (5, 25, 6, 3)):
@@ -163,7 +180,7 @@ def test_high_shift_blocks_match_the_loops():
         for r in range(1, p):
             params = CodingParams.make(p=p, n=n, l=l, r=r)
             size = params.size()
-            codes = array(code_array(params).typecode,
+            codes = array(code_array(params)[0].typecode,
                           [coding.encode(params, x) for x in range(size)])
             assert size >= 2**12
             assert coding.shift(params.power, params.p) > l > coding._kernel_width(params)
@@ -179,7 +196,7 @@ def test_high_shift_blocks_match_the_loops():
             duplicated = [*heads[:-1], heads[0]]
             twin = law_array(codes.typecode, duplicated, steps, size)
             want = (0, len(heads) - 1)
-            assert coding._law_collision(params, twin, (duplicated, steps)) == want
+            assert coding.law_collision(params, twin, (duplicated, steps)) == want
             assert first_collision(twin) == want
             assert_matches_loops(table)
 
@@ -209,7 +226,7 @@ def proves(params: CodingParams, codes: array, law) -> bool:
     """Whether the law test alone proves codes, with no scan."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(coding, "first_collision", lambda codes: "scanned")
-        return coding._law_collision(params, codes, law) is None
+        return coding.law_collision(params, codes, law) is None
 
 
 def inject(monkeypatch, codes: array, law) -> None:
@@ -225,11 +242,13 @@ def inject(monkeypatch, codes: array, law) -> None:
 def test_kernel_codes_are_their_law_expanded_on_grid():
     # The proof reads the kernel's law, not its codes, so the codes must be
     # the law's expansion. The law is the one column_law reads off them, or
-    # None (each code its own head) exactly where h = l.
+    # None (each code its own head) exactly where h = l, and it is block_law's,
+    # from which the audit proves the block.
     for params in grid():
         codes, law = kernel(params)
         size = params.size()
         assert (law is None) == (coding._kernel_width(params) == params.l), params
+        assert law == coding.block_law(params), params
         if law is not None:
             heads, steps = law
             assert codes == law_array(codes.typecode, heads, steps, size), params
@@ -248,7 +267,7 @@ def test_column_law_certifies_exactly_the_kernel_blocks_on_grid(monkeypatch):
     kinds: Counter[str] = Counter()
     for params in grid():
         codes, law = kernel(params)
-        assert coding._law_collision(params, codes, law) is None, params
+        assert coding.law_collision(params, codes, law) is None, params
         assert first_collision(codes) is None, params
         two = params.p.p == 2 and params.power.k > 0
         kinds["certified" + (", two, k >= 1" if two else "")] += 1
@@ -268,10 +287,10 @@ def test_trivial_law_proves_a_wide_block_in_a_byte_per_entry(monkeypatch):
         raise AssertionError("the scan ran")
 
     monkeypatch.setattr(coding, "first_collision", no_scan)
-    assert checked_code_array(params)[1] is None
+    assert coding.law_collision(params, *code_array(params)) is None
     tracemalloc.start()
     try:
-        assert coding._law_collision(params, codes, law) is None
+        assert coding.law_collision(params, codes, law) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -279,7 +298,7 @@ def test_trivial_law_proves_a_wide_block_in_a_byte_per_entry(monkeypatch):
     duplicated = array(codes.typecode, codes)
     duplicated[-1] = duplicated[0]
     with pytest.raises(AssertionError, match="the scan ran"):
-        coding._law_collision(params, duplicated, None)
+        coding.law_collision(params, duplicated, None)
 
 
 def test_trivial_law_reports_what_the_scan_reports():
@@ -289,7 +308,7 @@ def test_trivial_law_reports_what_the_scan_reports():
     for codes, want in (([3, 3, 7, 0, 1, 2, 4], (0, 1)), ([3, 7, 3, 0, 1, 2, 4], IndexError),
                         ([0, 1, 2, 3, 4, 5, 7], IndexError)):
         codes = array("B", codes)
-        assert outcome(lambda c: coding._law_collision(params, c, None), codes) == want
+        assert outcome(lambda c: coding.law_collision(params, c, None), codes) == want
         assert outcome(first_collision, codes) == want
 
 
@@ -316,7 +335,7 @@ def test_table_and_audit_step_lanes_once(monkeypatch):
 def test_audit_proves_the_head_law_without_stepping_on_grid(monkeypatch):
     # Where h < l the audit proves the law of the head pass alone: the lane
     # stepper, patched to raise, never runs, and the verdict is the scan's.
-    wants = [(params, first_collision(code_array(params))) for params in grid()]
+    wants = [(params, first_collision(code_array(params)[0])) for params in grid()]
 
     def no_lanes(*args):
         raise AssertionError("lanes were stepped")
@@ -400,7 +419,7 @@ def test_column_law_agrees_with_the_scan_on_mutated_arrays():
         for label, codes, law in mutants(params):
             want = outcome(first_collision, codes)
             if law is not None:  # the law test decides, and the scan locates
-                got = outcome(lambda c: coding._law_collision(params, c, law), codes)
+                got = outcome(lambda c: coding.law_collision(params, c, law), codes)
                 assert got == want, (params, label)
                 certified = proves(params, codes, law)
                 assert certified == (label == "the unmutated law, rebuilt"), (params, label)

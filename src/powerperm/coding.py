@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import namedtuple
-from collections.abc import Generator, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, repeat
 
 from ._records import record
@@ -114,7 +114,7 @@ class PermutationTable(record("PermutationTable", "params image")):
         if m < span:
             ones = _pack(lane, [1] * m)
             packed = (e ^ ((e >> self.params.l) & ones) * (modulus - 1) for e in packed)
-        return _collect(image.typecode, _unpacked(lane, m, packed, image.typecode))[0]
+        return _collect(image.typecode, _unpacked(lane, m, packed, image.typecode))
 
 
 def shift(power: PowerSpec, base: PrimeBase) -> int:
@@ -164,7 +164,7 @@ def _kernel_width(params: CodingParams) -> int:
     """Digits h of the block kernel's head: x' = u + p**h * v with u < p**h.
 
     Any h below l with 2*h >= l - 1, or 2*h >= l + 1 for p == 2 with k >= 1,
-    gives the kernel's law (see _code_chunks). This takes the smallest h
+    gives the kernel's law (see block_law). This takes the smallest h
     with 2*h >= l (l + 1 for p == 2 with k >= 1). For odd l, one digit less
     saves powers but takes p times as many lane steps on p times fewer
     lanes, and cost more: (p, n, l) = (11, 11, 5) and (7, 2, 5) built their
@@ -177,32 +177,8 @@ def _kernel_width(params: CodingParams) -> int:
     return h if h < l and _typecode(4 * params.size()) else l
 
 
-def _head_chunks(params: CodingParams) -> Iterator[tuple[list[int], Iterator[int]]]:
-    """The head pass of _code_chunks: (A_u, B_u) per _HEAD_CHUNK u < p**h, B_u lazily."""
-    p, n, r = params.p.p, params.power.n, params.r
-    pa, modulus = _window_moduli(params)
-    size, h = params.size(), _kernel_width(params)
-    span = p**h
-    scale = n * p ** (h + 1) // pa
-    for start in range(0, span, _HEAD_CHUNK):
-        ys = range(p * start + r, p * min(start + _HEAD_CHUNK, span) + r, p)
-        ds = [pow(y, n - 1, modulus) for y in ys]  # p**l divides modulus: B_u's power too
-        yield [d * y % modulus // pa for d, y in zip(ds, ys)], (scale * d % size for d in ds)
-
-
 def block_law(params: CodingParams) -> tuple[list[int], list[int]] | None:
-    """The law (A, B) that _code_chunks steps, from the head pass alone; None where h = l."""
-    if _kernel_width(params) == params.l:
-        return None
-    heads, steps = [], []
-    for codes, chunk_steps in _head_chunks(params):
-        heads += codes
-        steps += chunk_steps
-    return heads, steps
-
-
-def _code_chunks(params: CodingParams) -> Generator[list[int] | array, None, tuple | None]:
-    """The one enumeration kernel: every code of the block, in x' order, in chunks.
+    """The block's column law (A, B), from the one head pass; None where h = l.
 
     Write x' = u + p**h * v with u < p**h (h from _kernel_width), so that
     x = y + p**(h+1) * v with y = p*u + r. For n = q * p**k, C(n, i) has
@@ -213,24 +189,35 @@ def _code_chunks(params: CodingParams) -> Generator[list[int] | array, None, tup
         code(u, v) = (A_u + B_u * v) mod p**l,
 
     where A_u = code(u, 0) and B_u = y**(n-1) * n * p**(h+1) / p**a mod
-    p**l. So the head pass (_head_chunks), the block v = 0, costs one pow
-    per u, and _packed_lanes steps the later blocks, each an array of
-    typecode _typecode(p**l); when h = l every code is its own pow. Head
-    chunks are yielded as they are computed, so a caller that stops early
-    pays for at most one chunk it does not take. The generator returns the
-    law it stepped, block_law's (heads, steps), or None where h = l.
+    p**l, both from one pow per u. _code_chunks expands this law.
     """
-    size, stepped = params.size(), _kernel_width(params) < params.l
-    heads, steps = [], []
-    for codes, chunk_steps in _head_chunks(params):
-        yield codes
-        if stepped:
-            heads += codes
-            steps += chunk_steps
-    if stepped:
-        packed = _packed_lanes(heads, steps, size, size // len(heads) - 1)
-        yield from _unpacked(_typecode(4 * size), len(heads), packed, _typecode(size))
-        return heads, steps
+    h = _kernel_width(params)
+    if h == params.l:
+        return None
+    p, n, r = params.p.p, params.power.n, params.r
+    pa, modulus = _window_moduli(params)
+    size, scale, ys = params.size(), n * p ** (h + 1) // pa, range(r, p ** (h + 1) + r, p)
+    ds = [pow(y, n - 1, modulus) for y in ys]  # p**l divides modulus: B_u's power too
+    return [d * y % modulus // pa for d, y in zip(ds, ys)], [scale * d % size for d in ds]
+
+
+def _code_chunks(params: CodingParams, law: tuple[list[int], list[int]] | None) -> Iterator:
+    """The one enumeration kernel: every code of the block, in x' order, in chunks.
+
+    Expands law, block_law(params): its heads, then each later run of p**h
+    codes, stepped by _packed_lanes. Where law is None every code is its
+    own pow, handed out _HEAD_CHUNK codes at a time as they are computed.
+    """
+    size = params.size()
+    if law is None:
+        (pa, modulus), p, n = _window_moduli(params), params.p.p, params.power.n
+        ys = range(params.r, p * size + params.r, p)
+        for start in range(0, size, _HEAD_CHUNK):
+            yield [pow(y, n, modulus) // pa for y in ys[start:start + _HEAD_CHUNK]]
+        return
+    yield law[0]
+    packed = _packed_lanes(*law, size, size // len(law[0]) - 1)
+    yield from _unpacked(_typecode(4 * size), len(law[0]), packed, _typecode(size))
 
 
 def _pack(lane: str, values: list[int] | array) -> int:
@@ -283,19 +270,17 @@ def _unpacked(lane: str, span: int, packed: Iterable[int], typecode: str) -> Ite
         yield block
 
 
-def _collect(typecode: str, chunks: Iterator[list[int] | array]) -> tuple[array, object]:
-    """One array of the given typecode holding every chunk, in order, and what chunks returns."""
+def _collect(typecode: str, chunks: Iterable[list[int] | array]) -> array:
+    """One array of the given typecode holding every chunk, in order."""
     out = array(typecode)
-    while True:
-        try:
-            out.extend(next(chunks))
-        except StopIteration as done:
-            return out, done.value
+    for chunk in chunks:
+        out.extend(chunk)
+    return out
 
 
 def iter_codes(params: CodingParams) -> Iterator[int]:
-    """Yield encode(x') for x' = 0, 1, ..., p**l - 1, lazily, from the kernel _code_chunks."""
-    return chain.from_iterable(_code_chunks(params))
+    """Yield encode(x') for x' = 0, 1, ..., p**l - 1 from the kernel _code_chunks."""
+    return chain.from_iterable(_code_chunks(params, block_law(params)))
 
 
 def check_enumeration(entries: int, max_entries: int) -> None:
@@ -311,14 +296,14 @@ def code_array(
 ) -> tuple[array, tuple[list[int], list[int]] | None]:
     """Every code of the block in x' order, in the smallest array that holds them, and its law.
 
-    The one collector of the block kernel _code_chunks: its chunks, stored,
-    and the law (heads, steps) it stepped, or None where h = l, from which
-    law_collision proves the codes. Raises EnumerationBoundExceeded when
-    p**l > max_entries.
+    The one collector of the block kernel _code_chunks: the law of
+    block_law, or None where h = l, expanded and stored, and that law, from
+    which law_collision proves the codes. Raises EnumerationBoundExceeded
+    when p**l > max_entries.
     """
-    size = params.size()
-    check_enumeration(size, max_entries)
-    return _collect(_typecode(size) or "Q", _code_chunks(params))
+    check_enumeration(params.size(), max_entries)
+    law = block_law(params)
+    return _collect(_typecode(params.size()) or "Q", _code_chunks(params, law)), law
 
 
 def column_law(params: CodingParams, codes: array) -> tuple[int, int, array, Iterable[int]]:

@@ -30,16 +30,16 @@ def test_audit_respects_bound():
 
 def test_audit_reports_first_collision(monkeypatch):
     # force a defect: the kernel yields a sequence where value 5 appears at
-    # 2 and 6, and the head pass and the kernel give the law column_law
-    # reads off it, whose heads 0 and 3 share a coset mod 3
+    # 2 and 6, and the head pass gives the law column_law reads off it,
+    # whose heads 0 and 3 share a coset mod 3
     broken = array("B", [0, 3, 5, 1, 7, 2, 5, 4, 6])
 
-    def fake_chunks(params):
+    def fake_chunks(params, law):
         yield broken
-        return column_law(params, broken)[2:]
 
     monkeypatch.setattr(coding, "_code_chunks", fake_chunks)
-    monkeypatch.setattr(analysis, "block_law", lambda params: column_law(params, broken)[2:])
+    for module in (coding, analysis):
+        monkeypatch.setattr(module, "block_law", lambda params: column_law(params, broken)[2:])
     result = audit_bijectivity(CodingParams.make(p=3, n=3, l=2, r=1))
     assert not result.ok
     assert result.collision == (2, 6)

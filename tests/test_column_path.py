@@ -214,12 +214,14 @@ def test_sign_fold_inverse_on_larger_blocks():
 # ------------------------------------------- the column law as a certificate
 
 
-KERNEL = coding._code_chunks  # the kernel itself, even where a test injects codes
+# the kernel and its law themselves, even where a test injects codes
+KERNEL, BLOCK_LAW = coding._code_chunks, coding.block_law
 
 
 def kernel(params: CodingParams):
-    """The kernel's codes, stored, and the law it returns: (codes, law)."""
-    return coding._collect(coding._typecode(params.size()) or "Q", KERNEL(params))
+    """The law of block_law and the kernel's codes, its expansion, stored: (codes, law)."""
+    law = BLOCK_LAW(params)
+    return coding._collect(coding._typecode(params.size()) or "Q", KERNEL(params, law)), law
 
 
 def proves(params: CodingParams, codes: array, law) -> bool:
@@ -230,12 +232,12 @@ def proves(params: CodingParams, codes: array, law) -> bool:
 
 
 def inject(monkeypatch, codes: array, law) -> None:
-    """Make the kernel yield codes and return law, and block_law give law, whatever the params."""
-    def chunks(params):
+    """Make block_law give law and the kernel expand it to codes, whatever the params."""
+    def chunks(params, law):
         yield codes.tolist()
-        return law
 
     monkeypatch.setattr(coding, "_code_chunks", chunks)
+    monkeypatch.setattr(coding, "block_law", lambda params: law)
     monkeypatch.setattr(analysis, "block_law", lambda params: law)
 
 

@@ -142,11 +142,11 @@ def test_bijectivity_violation_message_embeds_the_repr(monkeypatch):
     # the kernel yields codes with the trivial law, each code its own head
     codes = array("B", [0, 7, 2, 3, 1, 5, 6, 5, 8])
 
-    def fake_chunks(params):
+    def fake_chunks(params, law):
         yield codes
-        return None
 
     monkeypatch.setattr(coding, "_code_chunks", fake_chunks)
+    monkeypatch.setattr(coding, "block_law", lambda params: None)
     with pytest.raises(InternalBijectivityViolation) as err:
         coding.permutation_table(PARAMS)
     assert str(err.value) == f"duplicate output 5 for params {PARAMS_REPR}"

@@ -9,7 +9,7 @@ from collections.abc import Iterable, Iterator
 
 from ._records import record
 from .coding import (MAX_TABLE_ENTRIES, CodingParams, PermutationTable, block_law,
-                     check_enumeration, code_array, law_collision, law_proves)
+                     check_block, code_array, law_collision, law_proves)
 
 
 class AuditResult(record("AuditResult", "params ok collision", defaults=(None,))):
@@ -77,7 +77,7 @@ def audit_bijectivity(
         >>> audit_bijectivity(CodingParams.make(p=2, n=3, l=20, r=1)).ok
         True
     """
-    check_enumeration(params.size(), max_entries)
+    check_block(params, max_entries)
     if (law := block_law(params)) is not None and law_proves(params, *law):
         return AuditResult(params, ok=True)
     collision = law_collision(params, *code_array(params, max_entries))

@@ -194,7 +194,7 @@ def cmd_plotdata(ns: argparse.Namespace) -> int:
     if not ns.out:
         raise PowerPermError("plotdata requires --out")
     params = _coding_params(ns)
-    coding.check_enumeration(params.size(), _max_entries(ns))
+    coding.check_block(params, _max_entries(ns))
     with open(ns.out, "w", newline="\n") as fh:
         fh.writelines(_joined("\n", chain(["x,z"], (
             f"{x},{z}" for x, z in enumerate(coding.iter_codes(params))))))

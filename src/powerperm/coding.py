@@ -279,16 +279,25 @@ def _collect(typecode: str, chunks: Iterable[list[int] | array]) -> array:
 
 
 def iter_codes(params: CodingParams) -> Iterator[int]:
-    """Yield encode(x') for x' = 0, 1, ..., p**l - 1 from the kernel _code_chunks."""
+    """Yield encode(x') for x' = 0, 1, ..., p**l - 1 from the kernel _code_chunks.
+
+    Where h = l the codes come out _HEAD_CHUNK at a time, as they are
+    computed; otherwise the first comes out once block_law has all p**h heads.
+    """
     return chain.from_iterable(_code_chunks(params, block_law(params)))
 
 
-def check_enumeration(entries: int, max_entries: int) -> None:
-    """Raise EnumerationBoundExceeded when entries > max_entries."""
-    if entries > max_entries:
+def check_block(params: CodingParams, max_entries: int) -> None:
+    """Raise EnumerationBoundExceeded when the block's p**l entries exceed max_entries.
+
+    As p >= 2, l > max_entries.bit_length() is refused from l alone, and
+    p**l, which may have millions of digits, is neither built nor printed.
+    """
+    wide = params.l > max_entries.bit_length()
+    if wide or params.size() > max_entries:
+        entries = f"{params.p.p}**{params.l}" if wide else params.size()
         raise EnumerationBoundExceeded(
-            f"enumeration would need {entries} entries; bound is {max_entries}"
-        )
+            f"enumeration would need {entries} entries; bound is {max_entries}")
 
 
 def code_array(
@@ -301,7 +310,7 @@ def code_array(
     which law_collision proves the codes. Raises EnumerationBoundExceeded
     when p**l > max_entries.
     """
-    check_enumeration(params.size(), max_entries)
+    check_block(params, max_entries)
     law = block_law(params)
     return _collect(_typecode(params.size()) or "Q", _code_chunks(params, law)), law
 
@@ -376,7 +385,7 @@ def law_proves(params: CodingParams, heads: Sequence, steps: Sequence | None = N
 
 
 def law_collision(params: CodingParams, codes: array, law: tuple | None) -> tuple[int, int] | None:
-    """None where law_proves code_array's law (None: codes as heads), else first_collision."""
+    """None where law_proves law, the block_law that codes expand; else first_collision."""
     return None if law_proves(params, *(law or (codes,))) else first_collision(codes)
 
 
@@ -479,7 +488,9 @@ def roots(
     v = valuation(z, base)
     if v % n:
         return []
-    check_enumeration(p - 1, max_entries)
+    if p - 1 > max_entries:
+        raise EnumerationBoundExceeded(
+            f"enumeration would need {p - 1} entries; bound is {max_entries}")
     j = v // n
     w = z // p**v
     pa = p ** shift(power, base)

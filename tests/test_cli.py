@@ -755,6 +755,28 @@ def test_plotdata_past_the_bound_writes_no_file(capsys, tmp_path):
     assert not path.exists()
 
 
+def test_block_commands_refuse_a_wide_block_from_l_alone(tmp_path):
+    # 3**30000000 has over 14 million digits; the bound refuses it from l,
+    # without building or printing it, and writes no file
+    path = tmp_path / "scatter.csv"
+    for command in ("table", "plotdata"):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "powerperm", command, "--p", "3", "--n", "3",
+             "--l", "30000000", "--r", "1", "--out", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 2, command
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: enumeration would need 3**30000000 entries; "
+                               f"bound is {2**24}\n"), command
+        assert len(proc.stderr.encode()) < 200
+        assert not path.exists()
+
+
 def test_plotdata_requires_out(capsys):
     code, _, err = run(
         capsys, "plotdata", "--p", "2", "--n", "2", "--l", "4", "--r", "1"

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from digit_oracle import from_digits, to_digits
 from powerperm import coding
-from powerperm.analysis import export_scatter
+from powerperm.analysis import audit_bijectivity, export_scatter
 from powerperm.coding import (
     CodingParams,
     PowerSpec,
@@ -342,6 +342,21 @@ def test_table_bound():
     permutation_table(CodingParams.make(p=2, n=3, l=10, r=1), max_entries=1024)
 
 
+def test_block_bound_is_decided_from_l_first():
+    # past max_entries.bit_length() digits the block is refused from l
+    # alone, as p**l would have millions of digits; below, p**l is named
+    params = CodingParams.make(p=3, n=3, l=3 * 10**7, r=1)
+    for build in (permutation_table, audit_bijectivity, export_scatter):
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBoundExceeded,
+                           match=rf"need 3\*\*30000000 entries; bound is {2**24}$"):
+            build(params)
+        assert time.perf_counter() - start < 1, build
+    for l, entries in ((4, "16"), (5, "2\\*\\*5")):
+        with pytest.raises(EnumerationBoundExceeded, match=f"need {entries} entries; bound is 8$"):
+            code_array(CodingParams.make(p=2, n=3, l=l, r=1), max_entries=8)
+
+
 def test_squaring_table_closed_form():
     # p=2, n=2: the block map is x' -> x'(x'+1)/2 mod 2**l, a Coveyou-style
     # quadratic generator
@@ -420,9 +435,9 @@ def test_kernel_for_two_with_k_at_least_one():
 
 
 def test_kernel_is_lazy_for_huge_primes():
-    # at l = 2, p**l is past 2**64 and every code is its own pow; at l = 1
-    # each block is one lane wide. Either way the first codes come out
-    # before the rest of the block is computed.
+    # at l = 1, h = l, and at l = 2, p**l is past 2**64: either way every
+    # code is its own pow, and the first codes come out before the rest of
+    # the block is computed.
     for p in (2**61 - 1, 2**62 - 57):
         for l in (1, 2):
             for n in (2, 3, 5):
@@ -434,8 +449,9 @@ def test_kernel_is_lazy_for_huge_primes():
 
 
 def test_kernel_head_runs_past_its_chunk_cap():
-    # at l = 40 the v = 0 block has 2**20 codes, handed out in chunks of
-    # _HEAD_CHUNK codes; a prefix well past the first chunk is still exact
+    # at l = 40 the v = 0 block has 2**20 codes, far more than _HEAD_CHUNK,
+    # all from block_law's one head pass; a prefix of several chunks' length
+    # is still exact
     params = CodingParams.make(p=2, n=3, l=40, r=1)
     head = 3 * coding._HEAD_CHUNK + 5
     assert list(islice(iter_codes(params), head)) == [

@@ -10,6 +10,7 @@ import math
 import tracemalloc
 from array import array
 from collections import Counter
+from itertools import islice
 
 import pytest
 from digit_oracle import power_map_cycles
@@ -273,8 +274,9 @@ def test_column_law_certifies_exactly_the_kernel_blocks_on_grid(monkeypatch):
         assert first_collision(codes) is None, params
         two = params.p.p == 2 and params.power.k > 0
         kinds["certified" + (", two, k >= 1" if two else "")] += 1
-    # the 1001 blocks at l = 1, and the 28 with p = 2, k >= 1 at l = 2, are
-    # certified by their trivial law, whose heads are every code
+    # the 1001 other blocks at l = 1, and the 28 with p = 2, k >= 1 (14 at
+    # l = 1, 14 at l = 2), are certified by their trivial law, whose heads
+    # are every code
     assert kinds == {"certified": 3776, "certified, two, k >= 1": 168}
 
 
@@ -332,6 +334,40 @@ def test_table_and_audit_step_lanes_once(monkeypatch):
             calls.clear()
             build(params)
             assert len(calls) == (want if build is permutation_table else 0), (params, build)
+
+
+def test_every_whole_block_call_runs_one_head_pass(monkeypatch):
+    # block_law is the only head pass, and each call runs it once, from
+    # whichever module calls it
+    calls = []
+    for module in (coding, analysis):
+        def counting(params, law=module.block_law):
+            calls.append(params)
+            return law(params)
+
+        monkeypatch.setattr(module, "block_law", counting)
+    for p, n, l in ((2, 6, 16), (3, 4, 10)):
+        params = CodingParams.make(p=p, n=n, l=l, r=1)
+        for build in (permutation_table, code_array, analysis.export_scatter,
+                      lambda params: list(coding.iter_codes(params)), audit_bijectivity):
+            calls.clear()
+            build(params)
+            assert calls == [params], (params, build)
+
+
+def test_iter_codes_yields_the_heads_before_stepping(monkeypatch):
+    # the first p**h codes are the law's heads; only the next one steps lanes
+    def no_lanes(*args):
+        raise AssertionError("lanes were stepped")
+
+    monkeypatch.setattr(coding, "_packed_lanes", no_lanes)
+    for p, n, l in ((2, 6, 16), (3, 4, 10)):
+        params = CodingParams.make(p=p, n=n, l=l, r=1)
+        span = p ** coding._kernel_width(params)
+        codes = coding.iter_codes(params)
+        assert list(islice(codes, span)) == [coding.encode(params, x) for x in range(span)]
+        with pytest.raises(AssertionError, match="lanes were stepped"):
+            next(codes)
 
 
 def test_audit_proves_the_head_law_without_stepping_on_grid(monkeypatch):

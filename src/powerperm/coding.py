@@ -196,7 +196,8 @@ def block_law(params: CodingParams) -> tuple[list[int], list[int]] | None:
         return None
     p, n, r = params.p.p, params.power.n, params.r
     pa, modulus = _window_moduli(params)
-    size, scale, ys = params.size(), n * p ** (h + 1) // pa, range(r, p ** (h + 1) + r, p)
+    size, scale = params.size(), n * p ** (h + 1) // pa
+    ys = range(r, p ** (h + 1) + r, p)
     ds = [pow(y, n - 1, modulus) for y in ys]  # p**l divides modulus: B_u's power too
     return [d * y % modulus // pa for d, y in zip(ds, ys)], [scale * d % size for d in ds]
 
@@ -210,14 +211,15 @@ def _code_chunks(params: CodingParams, law: tuple[list[int], list[int]] | None) 
     """
     size = params.size()
     if law is None:
-        (pa, modulus), p, n = _window_moduli(params), params.p.p, params.power.n
+        p, n, (pa, modulus) = params.p.p, params.power.n, _window_moduli(params)
         ys = range(params.r, p * size + params.r, p)
         for start in range(0, size, _HEAD_CHUNK):
             yield [pow(y, n, modulus) // pa for y in ys[start:start + _HEAD_CHUNK]]
         return
-    yield law[0]
-    packed = _packed_lanes(*law, size, size // len(law[0]) - 1)
-    yield from _unpacked(_typecode(4 * size), len(law[0]), packed, _typecode(size))
+    heads, steps = law
+    yield heads
+    packed = _packed_lanes(heads, steps, size, size // len(heads) - 1)
+    yield from _unpacked(_typecode(4 * size), len(heads), packed, _typecode(size))
 
 
 def _pack(lane: str, values: list[int] | array) -> int:
@@ -306,9 +308,9 @@ def code_array(
     """Every code of the block in x' order, in the smallest array that holds them, and its law.
 
     The one collector of the block kernel _code_chunks: the law of
-    block_law, or None where h = l, expanded and stored, and that law, from
-    which law_collision proves the codes. Raises EnumerationBoundExceeded
-    when p**l > max_entries.
+    block_law (None where h = l), from which law_collision proves the
+    codes, and the kernel's expansion of it, stored. Raises
+    EnumerationBoundExceeded when p**l > max_entries.
     """
     check_block(params, max_entries)
     law = block_law(params)

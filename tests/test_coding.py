@@ -344,7 +344,8 @@ def test_table_bound():
 
 def test_block_bound_is_decided_from_l_first():
     # past max_entries.bit_length() digits the block is refused from l
-    # alone, as p**l would have millions of digits; below, p**l is named
+    # alone, as p**l would have millions of digits; up to it, p**l's value
+    # is named as before
     params = CodingParams.make(p=3, n=3, l=3 * 10**7, r=1)
     for build in (permutation_table, audit_bijectivity, export_scatter):
         start = time.perf_counter()

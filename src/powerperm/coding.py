@@ -90,7 +90,8 @@ class PermutationTable(record("PermutationTable", "params image")):
     def inverse_image(self) -> array:
         """inv with inv[image[x']] == x', in image's typecode.
 
-        With the column law (span, m, A, B) (see column_law), column U < m
+        Inverts the law (A, B) of block_law, or (image, 0) where that is
+        trivial, with span = len(A) and m from _column_modulus. Column U < m
         takes the code c0 + m * t, for c0 = A_U mod m, at v = (V + W * t)
         mod p**l // m, with W = (B_U // m)**-1 and V = -W * (A_U // m). So
         inv steps like the kernel, modulo p**l * span // m:
@@ -100,9 +101,9 @@ class PermutationTable(record("PermutationTable", "params image")):
         2**(l+1) - 1 - x': its low l + 1 bits flipped.
         """
         image = self.image
-        span, m, heads, steps = column_law(self.params, image)
-        period = len(image) // m
-        inv_heads, inv_steps = [0] * m, [0] * m
+        heads, steps = block_law(self.params) or (image, repeat(0))
+        span, m = len(heads), _column_modulus(self.params, len(heads))
+        period, inv_heads, inv_steps = len(image) // m, [0] * m, [0] * m
         for u, a, b in zip(range(m), heads, steps):
             w = pow(b // m, -1, period)
             inv_heads[a % m] = u + span * (-w * (a // m) % period)
@@ -189,7 +190,8 @@ def block_law(params: CodingParams) -> tuple[list[int], list[int]] | None:
         code(u, v) = (A_u + B_u * v) mod p**l,
 
     where A_u = code(u, 0) and B_u = y**(n-1) * n * p**(h+1) / p**a mod
-    p**l, both from one pow per u. _code_chunks expands this law.
+    p**l, both from one pow per u. It is the law's one source: _code_chunks
+    expands it, law_proves proves it and PermutationTable.inverse_image inverts it.
     """
     h = _kernel_width(params)
     if h == params.l:
@@ -317,29 +319,6 @@ def code_array(
     return _collect(_typecode(params.size()) or "Q", _code_chunks(params, law)), law
 
 
-def column_law(params: CodingParams, codes: array) -> tuple[int, int, array, Iterable[int]]:
-    """The kernel's column law read off codes: (span, m, heads, steps).
-
-    With span = p**h for h = _kernel_width(params), heads = codes[:span] and
-    steps = codes[span:2 * span] - heads mod p**l, arrays of codes'
-    typecode, so that codes[u + span * v] = (heads[u] + steps[u] * v) mod
-    p**l for the block's codes. Each steps[u] is m times a unit, and column
-    u takes every code of the coset of heads[u] mod m = span once; for p ==
-    2 with k >= 1, m = span // 2, column u takes half of the coset and
-    column span - 1 - u, the column of -x, the other half. Where h reaches
-    l (at l == 1, and for p == 2 with k >= 1 at l == 2), the law is
-    trivial: span = m = p**l, heads = codes and steps = repeat(0, p**l),
-    which allocates nothing.
-    """
-    p, l = params.p.p, params.l
-    span, size = p ** _kernel_width(params), params.size()
-    if span == size:
-        return size, size, codes, repeat(0, size)
-    heads = codes[:span]
-    steps = array(codes.typecode, ((b - a) % size for a, b in zip(heads, codes[span:2 * span])))
-    return span, span // 2 if p == 2 and params.power.k else span, heads, steps
-
-
 def first_collision(codes: array) -> tuple[int, int] | None:
     """The first pair (y, x), y < x, with codes[y] == codes[x], or None.
 
@@ -355,14 +334,22 @@ def first_collision(codes: array) -> tuple[int, int] | None:
     return None
 
 
+def _column_modulus(params: CodingParams, span: int) -> int:
+    """m, where each step of a law of span columns is m times a unit: half
+    of span for p == 2 with k >= 1 where span < p**l, as column u and its
+    partner span - 1 - u, the column of -x, share a coset mod m; else span.
+    """
+    return span // 2 if params.p.p == 2 and params.power.k and span < params.size() else span
+
+
 def law_proves(params: CodingParams, heads: Sequence, steps: Sequence | None = None) -> bool:
     """Whether the column law (heads, steps) of block_law makes the block a permutation.
 
-    span = len(heads) and m are as in column_law; steps None is the trivial
-    law, every code its own head. In O(span): the heads below m are distinct
-    mod m, the steps below m are m times a unit, and where m < span, column
-    u's partner u* = span - 1 - u (x <-> -x) has heads[u*] = heads[u] -
-    steps[u] and steps[u*] = -steps[u] mod p**l.
+    span = len(heads) and m = _column_modulus(params, span); steps None is
+    the trivial law, every code its own head. In O(span): the heads below m
+    are distinct mod m, the steps below m are m times a unit, and where
+    m < span, column u's partner u* = span - 1 - u (x <-> -x) has
+    heads[u*] = heads[u] - steps[u] and steps[u*] = -steps[u] mod p**l.
 
     Examples:
         >>> params = CodingParams.make(p=7, n=3, l=1, r=2)
@@ -373,7 +360,7 @@ def law_proves(params: CodingParams, heads: Sequence, steps: Sequence | None = N
         (False, (1, 3))
     """
     size, p, span = params.size(), params.p.p, len(heads)
-    m = span // 2 if p == 2 and params.power.k and steps is not None else span
+    m = _column_modulus(params, span)
     seen = bytearray(m)  # heads distinct mod m mark every byte
     try:
         for a in heads if steps is None else (a % m for a in heads[:m]):

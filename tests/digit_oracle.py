@@ -1,14 +1,20 @@
-"""Base-p digits by repeated division, kept apart from the package.
+"""Independent routes to what the package computes, kept apart from it.
 
 The package reads digit windows with modular arithmetic; tests compare it
-against this independent route: expand, slice, reassemble. The cycle type
-of a power-map block comes from group theory here, against the package's
-digit-by-digit lift.
+against base-p digits by repeated division: expand, slice, reassemble. The
+cycle type of a power-map block comes from group theory here, against the
+package's digit-by-digit lift. The column law is read back off a code array
+here, against the law that coding.block_law computes from the head pass.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable
+from itertools import repeat
 from typing import Sequence
+
+from powerperm import coding
 
 
 def to_digits(x: int, p: int) -> tuple[int, ...]:
@@ -58,3 +64,28 @@ def power_map_cycles(p: int, n: int, l: int) -> dict[int, int]:
     for count, length in zip(counts, lengths):
         cycles[length] = cycles.get(length, 0) + count // length
     return cycles
+
+
+def column_law(
+    params: coding.CodingParams, codes: array
+) -> tuple[int, int, array, Iterable[int]]:
+    """The kernel's column law read off codes: (span, m, heads, steps).
+
+    With span = p**h for h = _kernel_width(params), heads = codes[:span] and
+    steps = codes[span:2 * span] - heads mod p**l, arrays of codes'
+    typecode, so that codes[u + span * v] = (heads[u] + steps[u] * v) mod
+    p**l for the block's codes. Each steps[u] is m times a unit, and column
+    u takes every code of the coset of heads[u] mod m = span once; for p ==
+    2 with k >= 1, m = span // 2, column u takes half of the coset and
+    column span - 1 - u, the column of -x, the other half. Where h reaches
+    l (at l == 1, and for p == 2 with k >= 1 at l == 2), the law is
+    trivial: span = m = p**l, heads = codes and steps = repeat(0, p**l),
+    which allocates nothing.
+    """
+    p, l = params.p.p, params.l
+    span, size = p ** coding._kernel_width(params), params.size()
+    if span == size:
+        return size, size, codes, repeat(0, size)
+    heads = codes[:span]
+    steps = array(codes.typecode, ((b - a) % size for a, b in zip(heads, codes[span:2 * span])))
+    return span, span // 2 if p == 2 and params.power.k else span, heads, steps

@@ -4,10 +4,11 @@ import math
 from array import array
 
 import pytest
+from digit_oracle import column_law
 
 from powerperm import analysis, coding
 from powerperm.analysis import audit_bijectivity, cycle_structure, export_scatter
-from powerperm.coding import CodingParams, column_law, encode, permutation_table, shift
+from powerperm.coding import CodingParams, encode, permutation_table, shift
 from powerperm.errors import EnumerationBoundExceeded
 
 

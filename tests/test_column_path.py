@@ -2,6 +2,9 @@
 
 Each is checked for exact equality against the per-entry loop it
 replaces, kept here (or as coding.first_collision) as the reference.
+digit_oracle.column_law reads the column law back off a code array; on
+every grid block it equals the law of coding.block_law, which the kernel
+expands, the audit proves and inverse_image inverts.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from collections import Counter
 from itertools import islice
 
 import pytest
-from digit_oracle import power_map_cycles
+from digit_oracle import column_law, power_map_cycles
 
 from powerperm import analysis, coding
 from powerperm.analysis import CycleReport, audit_bijectivity, cycle_structure
@@ -21,7 +24,6 @@ from powerperm.coding import (
     CodingParams,
     PermutationTable,
     code_array,
-    column_law,
     first_collision,
     permutation_table,
 )
@@ -338,7 +340,7 @@ def test_table_and_audit_step_lanes_once(monkeypatch):
 
 def test_every_whole_block_call_runs_one_head_pass(monkeypatch):
     # block_law is the only head pass, and each call runs it once, from
-    # whichever module calls it
+    # whichever module calls it; a built table's inverse runs its own
     calls = []
     for module in (coding, analysis):
         def counting(params, law=module.block_law):
@@ -353,6 +355,19 @@ def test_every_whole_block_call_runs_one_head_pass(monkeypatch):
             calls.clear()
             build(params)
             assert calls == [params], (params, build)
+        table = permutation_table(params)
+        calls.clear()
+        assert table.inverse_image() == loop_inverse(table)
+        assert calls == [params], params
+
+
+def test_trivial_law_inverse_outside_the_grid():
+    # (65537, 3, 1) has h = l: block_law gives None, and the inverse
+    # inverts the image itself, each code its own column
+    params = CodingParams.make(p=65537, n=3, l=1, r=1)
+    assert coding.block_law(params) is None
+    table = permutation_table(params)
+    assert table.inverse_image() == loop_inverse(table)
 
 
 def test_iter_codes_yields_the_heads_before_stepping(monkeypatch):

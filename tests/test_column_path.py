@@ -340,7 +340,7 @@ def test_table_and_audit_step_lanes_once(monkeypatch):
 
 def test_every_whole_block_call_runs_one_head_pass(monkeypatch):
     # block_law is the only head pass, and each call runs it once, from
-    # whichever module calls it; a built table's inverse runs its own
+    # whichever module calls it
     calls = []
     for module in (coding, analysis):
         def counting(params, law=module.block_law):
@@ -355,19 +355,13 @@ def test_every_whole_block_call_runs_one_head_pass(monkeypatch):
             calls.clear()
             build(params)
             assert calls == [params], (params, build)
-        table = permutation_table(params)
+    # a built table's inverse runs its own; on the trivial law of (65537, 3,
+    # 1), outside the grid, block_law gives None and the image is inverted
+    for p, n, l in ((2, 6, 16), (3, 4, 10), (65537, 3, 1)):
+        table = permutation_table(CodingParams.make(p=p, n=n, l=l, r=1))
         calls.clear()
         assert table.inverse_image() == loop_inverse(table)
-        assert calls == [params], params
-
-
-def test_trivial_law_inverse_outside_the_grid():
-    # (65537, 3, 1) has h = l: block_law gives None, and the inverse
-    # inverts the image itself, each code its own column
-    params = CodingParams.make(p=65537, n=3, l=1, r=1)
-    assert coding.block_law(params) is None
-    table = permutation_table(params)
-    assert table.inverse_image() == loop_inverse(table)
+        assert calls == [table.params], table.params
 
 
 def test_iter_codes_yields_the_heads_before_stepping(monkeypatch):

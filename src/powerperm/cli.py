@@ -64,7 +64,7 @@ def _render(ns: argparse.Namespace, obj: dict, header: str,
                 if isinstance(value, array):
                     fh.writelines(chain(["["], _joined(", ", map(str, value)), ["]"]))
                 else:
-                    fh.write(json.dumps(value, separators=(", ", ": ")))
+                    fh.write(json.dumps(value))
                 lead = ", "
             fh.write("}")
         elif ns.format == "csv":

@@ -13,7 +13,7 @@ import sys
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from ._records import record
 from .errors import DomainError, EnumerationBoundExceeded, InternalBijectivityViolation
@@ -95,10 +95,11 @@ class PermutationTable(record("PermutationTable", "params image")):
         takes the code c0 + m * t, for c0 = A_U mod m, at v = (V + W * t)
         mod p**l // m, with W = (B_U // m)**-1 and V = -W * (A_U // m). So
         inv steps like the kernel, modulo p**l * span // m:
-        inv(c0 + m * t) = U + span * V + span * W * t. Where m < span (p == 2
-        and k >= 1), that lands on the doubled domain x' < 2**(l+1), and
-        x = 2*x' + 1 and -x share their power, so x' >= 2**l folds to
-        2**(l+1) - 1 - x': its low l + 1 bits flipped.
+        inv(c0 + m * t) = U + span * V + span * W * t, and _runs, the
+        kernel's stepper, expands it. Where m < span (p == 2 and k >= 1),
+        that lands on the doubled domain x' < 2**(l+1), and x = 2*x' + 1 and
+        -x share their power, so _runs folds x' >= 2**l to 2**(l+1) - 1 - x':
+        its low l + 1 bits flipped.
         """
         image = self.image
         heads, steps = block_law(self.params) or (image, repeat(0))
@@ -108,14 +109,9 @@ class PermutationTable(record("PermutationTable", "params image")):
             w = pow(b // m, -1, period)
             inv_heads[a % m] = u + span * (-w * (a // m) % period)
             inv_steps[a % m] = span * w
-        modulus = span * period
-        lane = _typecode(4 * modulus)
-        packed = chain([_pack(lane, inv_heads)],
-                       _packed_lanes(inv_heads, inv_steps, modulus, period - 1))
-        if m < span:
-            ones = _pack(lane, [1] * m)
-            packed = (e ^ ((e >> self.params.l) & ones) * (modulus - 1) for e in packed)
-        return _collect(image.typecode, _unpacked(lane, m, packed, image.typecode))
+        fold = self.params.l if m < span else 0
+        return _collect(image.typecode, _runs(
+            inv_heads, inv_steps, span * period, period, image.typecode, fold))
 
 
 def shift(power: PowerSpec, base: PrimeBase) -> int:
@@ -171,7 +167,7 @@ def _kernel_width(params: CodingParams) -> int:
     lanes, and cost more: (p, n, l) = (11, 11, 5) and (7, 2, 5) built their
     tables slower. l when that reaches l, which it does at l == 1, for
     p == 2 with k >= 1 at l == 2, and when lanes of 4 * p**l do not fit in
-    64 bits.
+    64 bits: that check mirrors the precondition of _runs, which steps the law.
     """
     l = params.l
     h = (l + 2) // 2 if params.p.p == 2 and params.power.k else (l + 1) // 2
@@ -208,8 +204,9 @@ def _code_chunks(params: CodingParams, law: tuple[list[int], list[int]] | None) 
     """The one enumeration kernel: every code of the block, in x' order, in chunks.
 
     Expands law, block_law(params): its heads, then each later run of p**h
-    codes, stepped by _packed_lanes. Where law is None every code is its
-    own pow, handed out _HEAD_CHUNK codes at a time as they are computed.
+    codes from _runs, which steps no lane before the heads are out. Where
+    law is None every code is its own pow, handed out _HEAD_CHUNK codes at
+    a time as they are computed.
     """
     size = params.size()
     if law is None:
@@ -220,54 +217,43 @@ def _code_chunks(params: CodingParams, law: tuple[list[int], list[int]] | None) 
         return
     heads, steps = law
     yield heads
-    packed = _packed_lanes(heads, steps, size, size // len(heads) - 1)
-    yield from _unpacked(_typecode(4 * size), len(heads), packed, _typecode(size))
+    yield from islice(_runs(heads, steps, size, size // len(heads), _typecode(size)), 1, None)
 
 
-def _pack(lane: str, values: list[int] | array) -> int:
-    """values as one int with a lane per value: the bytes of array(lane, values)."""
-    return int.from_bytes(array(lane, values).tobytes(), sys.byteorder)
+def _runs(
+    heads: list[int], steps: list[int], modulus: int, count: int, typecode: str, fold: int = 0
+) -> Iterator[array]:
+    """The runs (heads[u] + t * steps[u]) mod modulus for t = 0, ..., count - 1.
 
-
-def _packed_lanes(
-    heads: list[int] | array, steps: list[int] | array, modulus: int, blocks: int
-) -> Iterator[int]:
-    """The blocks (heads[u] + t * steps[u]) mod modulus for t = 1, ..., blocks.
-
-    Each block is one int packed by _pack in lanes of _typecode(4 * modulus),
-    and is the block before it plus steps, less modulus wherever the sum
-    reaches it (for a power of two, its low bits masked). Every heads[u] and
-    steps[u] must lie below modulus, and 4 * modulus must fit in 64 bits.
+    Each run is one int, the bytes of an array of _typecode(4 * modulus) with
+    a lane per value: the run before it plus steps, less modulus wherever the
+    sum reaches it (for a power of two, its low bits masked). It comes out as
+    an array of typecode, the low bytes of each lane where the lanes are
+    wider, copied by strided slices. Where fold is set, a value v with bit
+    fold set comes out as 2**(fold+1) - 1 - v, and modulus must be
+    2**(fold+1). Every heads[u] and steps[u] must lie below modulus, and
+    4 * modulus must fit in 64 bits.
     """
     # A lane of w bits holds t = cur + step < 2 * modulus <= 2**(w-1). Adding
     # 2**(w-2) - modulus sets bit w-2 exactly where t >= modulus, with no
     # carry into the next lane.
     lane = _typecode(4 * modulus)
-    top = 8 * array(lane).itemsize - 2
-    ones = _pack(lane, [1] * len(heads))
+    span, wide, size = len(heads), array(lane).itemsize, array(typecode).itemsize
+    top, low = 8 * wide - 2, 0 if sys.byteorder == "little" else wide - size
+    ones, cur, step = (int.from_bytes(array(lane, values).tobytes(), sys.byteorder)
+                       for values in ([1] * span, heads, steps))
     bias = ones * ((1 << top) - modulus)
-    cur, step = _pack(lane, heads), _pack(lane, steps)
     mask = ones * (modulus - 1) if modulus & (modulus - 1) == 0 else 0
-    for _ in range(blocks):
-        t = cur + step
-        cur = t & mask if mask else t - (((t + bias) >> top) & ones) * modulus
-        yield cur
-
-
-def _unpacked(lane: str, span: int, packed: Iterable[int], typecode: str) -> Iterator[array]:
-    """Each packed block of span lanes as an array of typecode, no wider than lane.
-
-    Where typecode is narrower, its items are the low bytes of the lanes,
-    copied by strided slices rather than item by item.
-    """
-    wide, size = array(lane).itemsize, array(typecode).itemsize
-    low = 0 if sys.byteorder == "little" else wide - size
-    for cur in packed:
-        raw = cur.to_bytes(span * wide, sys.byteorder)
+    for i in range(count):
+        if i:
+            t = cur + step
+            cur = t & mask if mask else t - (((t + bias) >> top) & ones) * modulus
+        run = cur ^ ((cur >> fold) & ones) * (modulus - 1) if fold else cur
+        raw = run.to_bytes(span * wide, sys.byteorder)
         if wide != size:
             narrow = bytearray(span * size)
-            for i in range(size):
-                narrow[i::size] = raw[low + i::wide]
+            for b in range(size):
+                narrow[b::size] = raw[low + b::wide]
             raw = narrow
         block = array(typecode)
         block.frombytes(raw)

@@ -5,7 +5,8 @@ import json
 import subprocess
 import sys
 import time
-from itertools import islice
+from array import array
+from itertools import islice, product
 from math import gcd
 
 import pytest
@@ -415,6 +416,31 @@ def test_kernel_with_lanes_wider_than_codes():
         assert coding._typecode(4 * size) == "I"
         for n in (3, 2 * p):
             assert_kernel_exact(p, n, l, r=1, j=0)
+
+
+def test_runs_match_the_naive_expansion():
+    # (modulus, lane bytes, code typecode): the bias path and the mask path
+    # (a power of two), with lanes as wide as the codes (B, H, I) and wider
+    # (H over B, I over H, 8 bytes over I); moduli near the top of their
+    # lanes leave the bias bit no slack
+    cases = ((61, 1, "B"), (64, 1, "B"), (16381, 2, "H"), (2**14, 2, "H"),
+             (2**30 - 35, 4, "I"), (2**30, 4, "I"), (251, 2, "B"), (256, 2, "B"),
+             (65521, 4, "H"), (2**16, 4, "H"), (2**32 - 5, 8, "I"), (2**32, 8, "I"))
+    for modulus, lane, typecode in cases:
+        assert array(coding._typecode(4 * modulus)).itemsize == lane, modulus
+        top = modulus - 1
+        heads = [0, top, top, top, 1, modulus // 3, 5 % modulus]
+        steps = [top, 0, top, 1, top, modulus // 2 + 1, 7 * modulus // 11]
+        # the sign fold: bit fold of a value flips its low fold + 1 bits
+        folds = (0, modulus.bit_length() - 2) if modulus & top == 0 else (0,)
+        for fold, count in product(folds, (1, 9)):
+            flip = (2 << fold) - 1
+            want = [[flip - v if fold and v >> fold & 1 else v for v in
+                     ((h + t * s) % modulus for h, s in zip(heads, steps))]
+                    for t in range(count)]
+            runs = list(coding._runs(heads, steps, modulus, count, typecode, fold))
+            assert all(run.typecode == typecode for run in runs), (modulus, fold)
+            assert [run.tolist() for run in runs] == want, (modulus, fold, count)
 
 
 def test_kernel_where_every_code_is_its_own_power():

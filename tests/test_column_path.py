@@ -323,13 +323,13 @@ def test_table_and_audit_step_lanes_once(monkeypatch):
     # its law, and a trivial law (65537, 3, 1) steps no lanes at all; an
     # audit proves the law of the head pass and steps none
     calls = []
-    stepper = coding._packed_lanes
+    stepper = coding._runs
 
     def counting(*args):
         calls.append(args)
         return stepper(*args)
 
-    monkeypatch.setattr(coding, "_packed_lanes", counting)
+    monkeypatch.setattr(coding, "_runs", counting)
     for p, n, l, want in ((2, 6, 16, 1), (3, 4, 10, 1), (65537, 3, 1, 0)):
         params = CodingParams.make(p=p, n=n, l=l, r=1)
         for build in (permutation_table, audit_bijectivity):
@@ -369,7 +369,7 @@ def test_iter_codes_yields_the_heads_before_stepping(monkeypatch):
     def no_lanes(*args):
         raise AssertionError("lanes were stepped")
 
-    monkeypatch.setattr(coding, "_packed_lanes", no_lanes)
+    monkeypatch.setattr(coding, "_runs", no_lanes)
     for p, n, l in ((2, 6, 16), (3, 4, 10)):
         params = CodingParams.make(p=p, n=n, l=l, r=1)
         span = p ** coding._kernel_width(params)
@@ -387,7 +387,7 @@ def test_audit_proves_the_head_law_without_stepping_on_grid(monkeypatch):
     def no_lanes(*args):
         raise AssertionError("lanes were stepped")
 
-    monkeypatch.setattr(coding, "_packed_lanes", no_lanes)
+    monkeypatch.setattr(coding, "_runs", no_lanes)
     for params, want in wants:
         assert audit_bijectivity(params) == analysis.AuditResult(params, want is None, want)
 

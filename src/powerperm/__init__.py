@@ -15,8 +15,8 @@ _EXPORTS = {
     "binomial": ("DIRECT_BOUND", "ValuationReport", "kummer_carries", "valuation_direct",
                  "valuation_legendre", "valuation_lemma1"),
     "coding": ("CodingParams", "PermutationTable", "PowerSpec", "compose_decomposition",
-               "decode", "encode", "encode_via_composition", "extended_shift", "iter_codes",
-               "permutation_table", "roots", "shift"),
+               "decode", "encode", "encode_via_composition", "iter_codes", "permutation_table",
+               "roots", "shift"),
     "errors": ("DomainError", "EnumerationBoundExceeded", "InternalBijectivityViolation",
                "PowerPermError"),
     "padic": ("PrimeBase", "valuation"),

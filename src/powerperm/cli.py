@@ -91,7 +91,7 @@ def _coding_obj(ns: argparse.Namespace, **result) -> dict:
 def cmd_shift(ns: argparse.Namespace) -> int:
     base = PrimeBase(ns.p)
     power = coding.PowerSpec.from_power(ns.n, base)
-    alpha = coding.shift(power, base) + power.n * ns.j
+    alpha = coding.shift(power, base, ns.j)
     obj = {"p": ns.p, "n": ns.n, "j": ns.j, "q": power.q, "k": power.k, "alpha": alpha}
     _render(ns, obj, ",".join(obj), [obj.values()],
             lambda: [f"alpha'={alpha} (q={power.q}, k={power.k}, j={ns.j})" if ns.j
@@ -102,7 +102,8 @@ def cmd_shift(ns: argparse.Namespace) -> int:
 def cmd_table(ns: argparse.Namespace) -> int:
     params = _coding_params(ns)
     image = coding.permutation_table(params, _max_entries(ns)).image
-    _render(ns, _coding_obj(ns, alpha=coding.extended_shift(params), image=image),
+    alpha = coding.shift(params.power, params.p, params.j)
+    _render(ns, _coding_obj(ns, alpha=alpha, image=image),
             "x,z", enumerate(image), lambda: _joined(" ", map(str, image)))
     return _EXIT_OK
 

@@ -13,7 +13,7 @@ import sys
 from array import array
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 from ._records import record
 from .errors import DomainError, EnumerationBoundExceeded, InternalBijectivityViolation
@@ -79,13 +79,10 @@ class PermutationTable(record("PermutationTable", "params image")):
     """Exhaustive image of one block permutation; image[x'] = encode(x').
 
     image is an array of the smallest unsigned typecode that holds every
-    block value; callers must not mutate it. len(table) is len(image).
+    block value; callers must not mutate it. The block has len(image) entries.
     """
 
     __slots__ = ()
-
-    def __len__(self) -> int:
-        return len(self.image)
 
     def inverse_image(self) -> array:
         """inv with inv[image[x']] == x', in image's typecode.
@@ -114,19 +111,15 @@ class PermutationTable(record("PermutationTable", "params image")):
             inv_heads, inv_steps, span * period, period, image.typecode, fold))
 
 
-def shift(power: PowerSpec, base: PrimeBase) -> int:
-    """First digit position of the permuted window in (p*x'+r)**n.
+def shift(power: PowerSpec, base: PrimeBase, j: int = 0) -> int:
+    """First digit position of the permuted window in x**n, x = p**j * (p*x'+r).
 
     Equals 1 + k, plus 1 when p == 2 and k >= 1 (squaring an odd number
-    pins the twos digit, so the window starts one place later).
+    pins the twos digit, so the window starts one place later), plus n*j:
+    the factor p**j puts exactly n*j zero digits below the window.
     """
     extra = 1 if (base.p == 2 and power.k >= 1) else 0
-    return 1 + power.k + extra
-
-
-def extended_shift(params: CodingParams) -> int:
-    """Window position inside x**n when x carries an exact factor p**j."""
-    return params.power.n * params.j + shift(params.power, params.p)
+    return 1 + power.k + extra + power.n * j
 
 
 def _window_moduli(params: CodingParams) -> tuple[int, int]:
@@ -203,10 +196,10 @@ def block_law(params: CodingParams) -> tuple[list[int], list[int]] | None:
 def _code_chunks(params: CodingParams, law: tuple[list[int], list[int]] | None) -> Iterator:
     """The one enumeration kernel: every code of the block, in x' order, in chunks.
 
-    Expands law, block_law(params): its heads, then each later run of p**h
-    codes from _runs, which steps no lane before the heads are out. Where
-    law is None every code is its own pow, handed out _HEAD_CHUNK codes at
-    a time as they are computed.
+    Expands law, block_law(params): each run of p**h codes from _runs, whose
+    run 0 is the heads, out before any lane is stepped. Where law is None
+    every code is its own pow, handed out _HEAD_CHUNK codes at a time as
+    they are computed.
     """
     size = params.size()
     if law is None:
@@ -216,8 +209,7 @@ def _code_chunks(params: CodingParams, law: tuple[list[int], list[int]] | None) 
             yield [pow(y, n, modulus) // pa for y in ys[start:start + _HEAD_CHUNK]]
         return
     heads, steps = law
-    yield heads
-    yield from islice(_runs(heads, steps, size, size // len(heads), _typecode(size)), 1, None)
+    yield from _runs(heads, steps, size, size // len(heads), _typecode(size))
 
 
 def _runs(
@@ -485,13 +477,11 @@ def roots(
     return out
 
 
-def compose_decomposition(
-    params: CodingParams,
-) -> tuple[CodingParams, CodingParams, int]:
+def compose_decomposition(params: CodingParams) -> tuple[CodingParams, CodingParams]:
     """Split the map for n = q * p**k into a q-stage and a p**k-stage.
 
-    Returns (f_params, g_params, r2) where f encodes with exponent q at
-    residue r, g encodes with exponent p**k at residue r2 = r**q mod p, and
+    Returns (f_params, g_params) where f encodes with exponent q at residue
+    r, g encodes with exponent p**k at residue g_params.r = r**q mod p, and
     encode(params, x') == encode(g, encode(f, x')) mod p**l for every x'.
     For odd p both stages use block width l and the identity is exact; for
     p == 2 the stages carry one extra digit (width l + 1) because the
@@ -507,14 +497,14 @@ def compose_decomposition(
     f_params = CodingParams(
         p=params.p, power=PowerSpec.from_power(pw.q, params.p), l=mid_l, r=params.r
     )
-    r2 = pow(params.r, pw.q, p)
     g_params = CodingParams(
-        p=params.p, power=PowerSpec.from_power(p**pw.k, params.p), l=mid_l, r=r2
+        p=params.p, power=PowerSpec.from_power(p**pw.k, params.p), l=mid_l,
+        r=pow(params.r, pw.q, p),
     )
-    return f_params, g_params, r2
+    return f_params, g_params
 
 
 def encode_via_composition(params: CodingParams, xp: int) -> int:
     """Evaluate the map through its two-stage decomposition."""
-    f_params, g_params, _ = compose_decomposition(params)
+    f_params, g_params = compose_decomposition(params)
     return encode(g_params, encode(f_params, xp)) % params.size()

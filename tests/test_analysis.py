@@ -75,7 +75,7 @@ def test_cycle_lengths_partition_the_block():
     for p, n, l, r in [(2, 2, 6, 1), (3, 6, 3, 2), (5, 3, 2, 4), (7, 2, 2, 3)]:
         table = permutation_table(CodingParams.make(p=p, n=n, l=l, r=r))
         report = cycle_structure(table)
-        assert sum(report.cycle_lengths) == len(table)
+        assert sum(report.cycle_lengths) == len(table.image)
         assert len(report.fixed_points) == report.cycle_lengths.count(1)
 
 
@@ -83,14 +83,14 @@ def test_order_annihilates_the_permutation():
     for p, n, l, r in [(3, 3, 2, 1), (2, 4, 5, 1), (5, 2, 2, 2)]:
         table = permutation_table(CodingParams.make(p=p, n=n, l=l, r=r))
         report = cycle_structure(table)
-        for x in range(len(table)):
+        for x in range(len(table.image)):
             y = x
             for _ in range(report.order):
                 y = table.image[y]
             assert y == x
         # and no smaller positive power works unless the order is 1
         if report.order > 1:
-            moved = [x for x in range(len(table)) if table.image[x] != x]
+            moved = [x for x in range(len(table.image)) if table.image[x] != x]
             assert moved
 
 
@@ -157,7 +157,7 @@ def test_identity_blocks_are_answered_without_a_lift():
                         table = permutation_table(CodingParams.make(p=p, n=n, l=l, r=r))
                         report = cycle_structure(table)
                         assert report == analysis._walk_cycles(table), table.params
-                        everything = tuple(range(len(table)))
+                        everything = tuple(range(len(table.image)))
                         assert (report.fixed_points == everything) == identity, table.params
 
 

@@ -336,6 +336,18 @@ def test_missing_required_flag_is_argparse_error(capsys):
     assert excinfo.value.code == 2
 
 
+def test_integer_options_refuse_values_out_of_range(capsys):
+    for argv, want in (
+            (["shift", "--p", "0", "--n", "3"], "argument --p: must be a positive integer"),
+            (["encode", "--p", "3", "--n", "3", "--l", "2", "--r", "-1", "--x", "0"],
+             "argument --r: must be non-negative")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, out) == (2, "")
+        assert err.endswith(f"powerperm {argv[0]}: error: {want}\n")
+
+
 # --------------------------------------------------------------------- root
 
 
@@ -514,6 +526,36 @@ def test_verify_json(capsys):
     payload = json.loads(out)
     assert payload["all_pass"] is True
     assert len(payload["results"]) == 8
+
+
+def test_verify_reports_a_failing_block_in_every_format(capsys, monkeypatch):
+    # one block of the sweep audited with a collision fails both of its rows
+    from powerperm import analysis
+
+    real = analysis.audit_bijectivity
+
+    def one_collision(params, max_entries):
+        if (params.l, params.r) == (2, 1):
+            return analysis.AuditResult(params, ok=False, collision=(0, 1))
+        return real(params, max_entries)
+
+    monkeypatch.setattr(analysis, "audit_bijectivity", one_collision)
+    argv = ["verify", "--p", "3", "--n", "3", "--lmax", "2"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    lines = out.splitlines()
+    assert [line for line in lines if line.endswith("FAIL")] == [
+        "l=2 r=1 j=0 size=9 FAIL", "l=2 r=1 j=1 size=9 FAIL"]
+    assert lines[-1] == "FAILURES: 2 of 8 tables"
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 3
+    assert [line.split(",")[-1] for line in out.splitlines()] == [
+        "status", *["pass"] * 4, "FAIL", "FAIL", "pass", "pass"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["all_pass"] is False
+    assert [row["ok"] for row in payload["results"]] == [True] * 4 + [False] * 2 + [True] * 2
 
 
 # ---------------------------------------------------------------- valuation

@@ -24,7 +24,6 @@ from powerperm.coding import (
     decode,
     encode,
     encode_via_composition,
-    extended_shift,
     iter_codes,
     permutation_table,
     roots,
@@ -38,6 +37,11 @@ def window_of_power(x: int, n: int, p: int, start: int, width: int) -> int:
     # independent oracle: expand x**n in base p and read the digit slice
     chunk = to_digits(x**n, p)[start : start + width]
     return from_digits(chunk, p)
+
+
+def window_start(params: CodingParams) -> int:
+    # the window's position in x**n for x = p**j * (p*x' + r)
+    return shift(params.power, params.p, params.j)
 
 
 # -------------------------------------------------------------- power split
@@ -119,10 +123,10 @@ def test_shift_two_gets_extra_digit():
     assert shift(PowerSpec.from_power(25, b5), b5) == 3  # k=2, odd p: 1+2
 
 
-def test_extended_shift_examples():
-    assert extended_shift(CodingParams.make(p=3, n=3, l=2, r=1, j=1)) == 5
-    assert extended_shift(CodingParams.make(p=2, n=2, l=3, r=1, j=0)) == 3
-    assert extended_shift(CodingParams.make(p=5, n=1, l=1, r=3, j=2)) == 3
+def test_shift_with_j_examples():
+    assert window_start(CodingParams.make(p=3, n=3, l=2, r=1, j=1)) == 5
+    assert window_start(CodingParams.make(p=2, n=2, l=3, r=1, j=0)) == 3
+    assert window_start(CodingParams.make(p=5, n=1, l=1, r=3, j=2)) == 3
 
 
 # ------------------------------------------------------------------- encode
@@ -158,7 +162,7 @@ def test_encode_matches_digit_window_of_full_power():
     for p, n, l, r in cases:
         for j in (0, 1, 2, 3):
             params = CodingParams.make(p=p, n=n, l=l, r=r, j=j)
-            start = extended_shift(params)
+            start = window_start(params)
             for xp in range(params.size()):
                 x = p**j * (p * xp + r)
                 assert encode(params, xp) == window_of_power(x, n, p, start, l), (
@@ -179,12 +183,12 @@ def test_window_slides_with_j_but_contents_do_not():
         base = CodingParams.make(p=p, n=n, l=l, r=r)
         for xp in range(base.size()):
             want = window_of_power(
-                p * xp + r, n, p, extended_shift(base), l
+                p * xp + r, n, p, window_start(base), l
             )
             for j in (1, 2, 5):
                 params = CodingParams.make(p=p, n=n, l=l, r=r, j=j)
                 got = window_of_power(
-                    p**j * (p * xp + r), n, p, extended_shift(params), l
+                    p**j * (p * xp + r), n, p, window_start(params), l
                 )
                 assert got == want
 
@@ -231,7 +235,7 @@ def test_table_is_permutation_across_parameter_grid():
 def test_table_inverse_round_trip():
     table = permutation_table(CodingParams.make(p=3, n=3, l=3, r=2))
     inv = table.inverse_image()
-    for x in range(len(table)):
+    for x in range(len(table.image)):
         assert inv[table.image[x]] == x
 
 
@@ -654,20 +658,20 @@ def test_roots_refuse_a_residue_scan_past_the_bound():
 
 def test_compose_example_odd():
     params = CodingParams.make(p=3, n=6, l=2, r=2)
-    f, g, r2 = compose_decomposition(params)
+    f, g = compose_decomposition(params)
     assert f.power == PowerSpec(n=2, q=2, k=0)
     assert f.r == 2 and f.l == 2
     assert g.power == PowerSpec(n=3, q=1, k=1)
-    assert g.r == 1 and r2 == 1
+    assert g.r == 1
     assert g.l == 2
 
 
 def test_compose_example_two():
     params = CodingParams.make(p=2, n=6, l=3, r=1)
-    f, g, r2 = compose_decomposition(params)
+    f, g = compose_decomposition(params)
     assert f.power.n == 3
     assert g.power.n == 2
-    assert r2 == 1
+    assert g.r == 1
     # stages carry one guard digit for p = 2
     assert f.l == 4 and g.l == 4
 
@@ -694,7 +698,7 @@ def test_composition_reproduces_encode():
 def test_composition_is_exact_for_odd_p():
     # no truncation needed: stage widths equal the block width
     params = CodingParams.make(p=3, n=6, l=3, r=1)
-    f, g, _ = compose_decomposition(params)
+    f, g = compose_decomposition(params)
     assert f.l == g.l == 3
     for xp in range(params.size()):
         assert encode(g, encode(f, xp)) == encode(params, xp)
@@ -779,7 +783,7 @@ def test_window_oracle_property(data):
     xp = data.draw(st.integers(0, params.size() - 1))
     x = p**j * (p * xp + r)
     assert encode(params, xp) == window_of_power(
-        x, n, p, extended_shift(params), l
+        x, n, p, window_start(params), l
     )
 
 

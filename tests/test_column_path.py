@@ -168,7 +168,7 @@ def test_half_coset_and_trivial_laws():
         elif l == 2:
             assert (span, m, heads, list(steps)) == (4, 4, table.image, [0] * 4)
         else:
-            assert m == span // 2 < span < len(table)
+            assert m == span // 2 < span < len(table.image)
         assert_matches_loops(table)
 
 
@@ -365,8 +365,12 @@ def test_every_whole_block_call_runs_one_head_pass(monkeypatch):
 
 
 def test_iter_codes_yields_the_heads_before_stepping(monkeypatch):
-    # the first p**h codes are the law's heads; only the next one steps lanes
+    # the first p**h codes are the law's heads, run 0 of the lane stepper;
+    # only the next one steps lanes
+    runs = coding._runs
+
     def no_lanes(*args):
+        yield next(runs(*args))
         raise AssertionError("lanes were stepped")
 
     monkeypatch.setattr(coding, "_runs", no_lanes)
